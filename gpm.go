@@ -87,40 +87,30 @@ func StableMaxBIPS(threshold float64) Policy { return core.StableMaxBIPS{Thresho
 // objective).
 func FairnessPolicy() Policy { return core.Fairness{} }
 
-// Hierarchical is the two-level manager of §2's vision: per-cluster
-// exhaustive MaxBIPS under demand-proportional budget shares.
-func Hierarchical(clusterSize int) Policy { return core.Hierarchical{ClusterSize: clusterSize} }
-
 // FixedModes pins every core to the given vector (the §5.7 static bound).
 func FixedModes(v ModeVector) Policy { return core.Fixed{Vector: v} }
 
 // Solver is a budgeted mode-allocation solver (internal/solver): it picks the
-// throughput-maximizing feasible mode vector for one decision instance. The
-// implementations scale the MaxBIPS objective past the exhaustive kernel's
-// ~16-core limit.
+// throughput-maximizing feasible mode vector for one decision instance.
+// Exhaustive is MaxBIPS's own kernel; the others scale the MaxBIPS objective
+// past its ~16-core limit.
 type Solver = solver.Solver
 
 // SolverStats is the per-decision certificate a Solver returns alongside its
-// vector: node counts, exactness, the DP optimality-gap bound, and wall-clock.
+// vector: node counts, exactness, the relaxation bound, and wall-clock.
 type SolverStats = solver.Stats
 
-// SolverOptions tunes SolverByName: DP power quantum, hierarchy cluster size,
-// worker and branch-and-bound node caps. Zero fields select defaults.
+// SolverOptions tunes SolverByName: hierarchy cluster size and
+// branch-and-bound node cap. Zero fields select defaults.
 type SolverOptions = solver.Options
 
-// SolverByName resolves an allocation solver: exhaustive (prefix-sharded
-// parallel enumeration), dp (quantized knapsack with a reported gap bound),
-// bb (exact branch-and-bound; µs–ms at 64+ cores), hier (two-level clustered;
-// scales to 1024 cores), or greedy.
+// SolverByName resolves an allocation solver by one of SolverNames():
+// exhaustive (MaxBIPS's enumeration), bb (exact branch-and-bound; µs–ms at
+// 64+ cores), hier (two-level clustered; scales to 1024 cores), or greedy.
 func SolverByName(name string, opt SolverOptions) (Solver, error) { return solver.New(name, opt) }
 
 // SolverNames lists the SolverByName registry.
 func SolverNames() []string { return solver.Names() }
-
-// MaxBIPSDP is MaxBIPS backed by the quantized dynamic-programming solver.
-func MaxBIPSDP(quantumW float64) Policy {
-	return core.SolverPolicy{Solver: &solver.DP{QuantumW: quantumW}}
-}
 
 // MaxBIPSBB is MaxBIPS backed by the exact branch-and-bound solver.
 func MaxBIPSBB() Policy { return core.SolverPolicy{Solver: &solver.BB{}} }
@@ -162,7 +152,7 @@ type SolverSession = solver.Session
 type SolverSessionStats = solver.SessionStats
 
 // NewSolverSession opens a warm-start session over s (typically *solver.BB,
-// *solver.DP, *solver.Hier or solver.Greedy via SolverByName).
+// *solver.Hier or solver.Greedy via SolverByName).
 func NewSolverSession(s Solver) *SolverSession { return solver.NewSession(s) }
 
 // SolverScalingRow and SolverScalingOptions belong to System.SolverScaling,
@@ -170,10 +160,11 @@ func NewSolverSession(s Solver) *SolverSession { return solver.NewSession(s) }
 type SolverScalingRow = experiment.SolverScalingRow
 type SolverScalingOptions = experiment.SolverScalingOptions
 
-// PolicyByName resolves a policy from its CLI name
-// (maxbips|greedy|priority|pullhipushlo|chipwide|oracle|...|maxbips-dp|
-// maxbips-bb|maxbips-hier|maxbips-sharded).
+// PolicyByName resolves a policy from its CLI name, one of PolicyNames().
 func PolicyByName(name string) (Policy, error) { return core.Registry(name) }
+
+// PolicyNames lists the PolicyByName registry.
+func PolicyNames() []string { return core.PolicyNames() }
 
 // FindWorkload resolves a Table 2 combination by ID, e.g.
 // "4w-ammp-mcf-crafty-art".

@@ -363,7 +363,7 @@ func TestManagerSanitizesBadPolicy(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"maxbips", "greedy", "priority", "pullhipushlo", "chipwide", "oracle"} {
+	for _, name := range PolicyNames() {
 		p, err := Registry(name)
 		if err != nil || p == nil {
 			t.Errorf("Registry(%s): %v", name, err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"gpm/internal/modes"
 	"gpm/internal/solver"
@@ -11,7 +12,9 @@ import (
 // predicted Power/BIPS Matrices and pick the highest-throughput combination
 // that satisfies the budget. Ties break toward lower power, then toward the
 // lexicographically smallest vector (fastest low-index cores), making the
-// policy fully deterministic.
+// policy fully deterministic. It returns the all-deepest vector when no
+// combination fits. The enumeration is solver.Exhaustive, the one kernel
+// Oracle, StableMaxBIPS and MinPower's fallback share.
 type MaxBIPS struct{}
 
 // Name implements Policy.
@@ -19,46 +22,31 @@ func (MaxBIPS) Name() string { return "MaxBIPS" }
 
 // Decide implements Policy.
 func (MaxBIPS) Decide(ctx Context) modes.Vector {
-	return selectMaxThroughput(ctx.Plan, ctx.NumCores(), ctx.BudgetW, ctx.Matrices)
+	return maxThroughput(ctx.Plan, ctx.BudgetW, ctx.Matrices)
 }
 
-// selectMaxThroughput is the shared exhaustive kernel for MaxBIPS-style
-// selection over a (power, instr) matrix pair. It returns the all-deepest
-// vector when no combination fits the budget. The running best is kept in a
-// single scratch buffer (copy-in-place, no per-improvement allocation): an
-// 8-core sweep used to clone dozens of vectors per decision.
-func selectMaxThroughput(plan modes.Plan, n int, budgetW float64, mx Matrices) modes.Vector {
-	deepest := modes.Mode(plan.NumModes() - 1)
-	best := modes.Uniform(n, deepest)
-	bestInstr := -1.0
-	bestPower := 0.0
-	EnumerateVectors(plan.NumModes(), n, func(v modes.Vector) bool {
-		p := mx.VectorPower(v)
-		if p > budgetW {
-			return true
-		}
-		t := mx.VectorInstr(v)
-		if t > bestInstr || (t == bestInstr && p < bestPower) {
-			bestInstr = t
-			bestPower = p
-			copy(best, v)
-		}
-		return true
-	})
-	return best
+// maxThroughput runs the exhaustive kernel over one matrix pair.
+func maxThroughput(plan modes.Plan, budgetW float64, mx Matrices) modes.Vector {
+	v, _ := solver.Exhaustive{}.Solve(mx.instance(plan, budgetW))
+	return v
+}
+
+// instance is the solver-package view of a decision over mx.
+func (mx Matrices) instance(plan modes.Plan, budgetW float64) solver.Instance {
+	return solver.Instance{Plan: plan, BudgetW: budgetW, Power: mx.Power, Instr: mx.Instr}
 }
 
 // GreedyMaxBIPS approximates MaxBIPS in O(cores² × modes) instead of
 // modes^cores: start from the all-deepest vector and repeatedly apply the
 // single-core, single-step upgrade with the best ΔBIPS/ΔPower ratio that
 // still fits the budget. It makes 64-core chips tractable (§5.5 notes the
-// superlinear state-space growth of exploration with mode count).
+// superlinear state-space growth of exploration with mode count). The
+// search is solver.Greedy.
 //
 // Tie-breaking is part of the contract: when several upgrades share the best
 // ΔBIPS/ΔPower ratio, the lowest core index wins (the scan keeps the first
-// maximum because the comparison is strict). internal/solver's greedy kernel
-// replicates this rule, so solver cross-checks against this policy are
-// deterministic even on symmetric (replicated-core) matrices.
+// maximum because the comparison is strict), so decisions are deterministic
+// even on symmetric (replicated-core) matrices.
 type GreedyMaxBIPS struct{}
 
 // Name implements Policy.
@@ -66,47 +54,8 @@ func (GreedyMaxBIPS) Name() string { return "GreedyMaxBIPS" }
 
 // Decide implements Policy.
 func (GreedyMaxBIPS) Decide(ctx Context) modes.Vector {
-	n := ctx.NumCores()
-	deepest := modes.Mode(ctx.Plan.NumModes() - 1)
-	v := modes.Uniform(n, deepest)
-	mx := ctx.Matrices
-	power := mx.VectorPower(v)
-	if power > ctx.BudgetW {
-		return v // even the floor exceeds the budget
-	}
-	for {
-		bestCore := -1
-		bestRatio := -1.0
-		var bestDP float64
-		for c := 0; c < n; c++ {
-			if v[c] == 0 {
-				continue
-			}
-			up := v[c] - 1
-			dp := mx.Power[c][up] - mx.Power[c][v[c]]
-			di := mx.Instr[c][up] - mx.Instr[c][v[c]]
-			if power+dp > ctx.BudgetW {
-				continue
-			}
-			ratio := di
-			if dp > 1e-12 {
-				ratio = di / dp
-			} else if di > 0 {
-				ratio = 1e18 // free throughput
-			}
-			// Strict > resolves ratio ties to the lowest core index.
-			if ratio > bestRatio {
-				bestRatio = ratio
-				bestCore = c
-				bestDP = dp
-			}
-		}
-		if bestCore < 0 {
-			return v
-		}
-		v[bestCore]--
-		power += bestDP
-	}
+	v, _ := solver.Greedy{}.Solve(ctx.Matrices.instance(ctx.Plan, ctx.BudgetW))
+	return v
 }
 
 // Priority is §5.2.1: core n-1 has the highest priority, core 0 the lowest.
@@ -277,7 +226,7 @@ func (o Oracle) Decide(ctx Context) modes.Vector {
 			mx.Instr[c][m] = in
 		}
 	}
-	return selectMaxThroughput(ctx.Plan, n, ctx.BudgetW, mx)
+	return maxThroughput(ctx.Plan, ctx.BudgetW, mx)
 }
 
 // Fixed always returns the same vector; the optimistic-static lower bound of
@@ -341,9 +290,15 @@ func (p MinPower) Decide(ctx Context) modes.Vector {
 	})
 	if best == nil {
 		// Infeasible floor: fall back to the best throughput under budget.
-		return selectMaxThroughput(ctx.Plan, n, ctx.BudgetW, mx)
+		return maxThroughput(ctx.Plan, ctx.BudgetW, mx)
 	}
 	return best
+}
+
+// PolicyNames lists the names Registry accepts, in help order.
+func PolicyNames() []string {
+	return []string{"maxbips", "greedy", "priority", "pullhipushlo", "chipwide", "oracle",
+		"stable", "fairness", "maxbips-bb", "maxbips-hier"}
 }
 
 // Registry returns the named policy, for CLI use. Fixed and MinPower carry
@@ -355,8 +310,8 @@ func Registry(name string) (Policy, error) {
 	return SolverRegistry(name, solver.Options{})
 }
 
-// SolverRegistry is Registry with solver parameters (DP quantum, hierarchy
-// cluster size, worker and node caps) for the maxbips-* policies.
+// SolverRegistry is Registry with solver parameters (hierarchy cluster size,
+// branch-and-bound node cap) for the maxbips-* policies.
 func SolverRegistry(name string, opt solver.Options) (Policy, error) {
 	switch name {
 	case "maxbips":
@@ -375,21 +330,13 @@ func SolverRegistry(name string, opt solver.Options) (Policy, error) {
 		return StableMaxBIPS{}, nil
 	case "fairness":
 		return Fairness{}, nil
-	case "hierarchical":
-		return Hierarchical{}, nil
-	case "maxbips-dp", "maxbips-bb", "maxbips-hier", "maxbips-sharded":
-		sname := map[string]string{
-			"maxbips-dp":      "dp",
-			"maxbips-bb":      "bb",
-			"maxbips-hier":    "hier",
-			"maxbips-sharded": "exhaustive",
-		}[name]
-		s, err := solver.New(sname, opt)
+	case "maxbips-bb", "maxbips-hier":
+		s, err := solver.New(strings.TrimPrefix(name, "maxbips-"), opt)
 		if err != nil {
 			return nil, err
 		}
 		return SolverPolicy{Solver: s}, nil
 	default:
-		return nil, fmt.Errorf("core: unknown policy %q (want maxbips|greedy|priority|pullhipushlo|chipwide|oracle|stable|fairness|hierarchical|maxbips-dp|maxbips-bb|maxbips-hier|maxbips-sharded)", name)
+		return nil, fmt.Errorf("core: unknown policy %q (want %s)", name, strings.Join(PolicyNames(), "|"))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"gpm/internal/modes"
+	"gpm/internal/solver"
 )
 
 func TestStableMaxBIPSHoldsOnMarginalGains(t *testing.T) {
@@ -67,12 +68,18 @@ func TestFairnessBalancesSlowdowns(t *testing.T) {
 	}
 }
 
+// hierarchical is the two-level manager as policies reach it: solver.Hier
+// behind the SolverPolicy adapter, as the A6 selector row runs it.
+func hierarchical(clusterSize int) Policy {
+	return SolverPolicy{Solver: &solver.Hier{ClusterSize: clusterSize}}
+}
+
 func TestHierarchicalMatchesExhaustiveOnUniformDemand(t *testing.T) {
 	// With uniform cores, per-cluster shares equal slices of the budget and
 	// the hierarchical result should match the flat optimum's throughput.
 	c := ctx(t, 144, []float64{20, 20, 20, 20, 20, 20, 20, 20},
 		[]float64{1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000}, modes.Uniform(8, modes.Turbo))
-	h := Hierarchical{ClusterSize: 4}.Decide(c)
+	h := hierarchical(4).Decide(c)
 	f := MaxBIPS{}.Decide(c)
 	hi, hp := ScoreVector(c.Matrices, h)
 	fi, _ := ScoreVector(c.Matrices, f)
@@ -89,7 +96,7 @@ func TestHierarchicalHandlesOddCoreCounts(t *testing.T) {
 	powers := []float64{20, 25, 15, 20, 20, 20}
 	instrs := []float64{500, 900, 300, 700, 800, 600}
 	c := ctx(t, 100, powers, instrs, cur)
-	v := Hierarchical{ClusterSize: 4}.Decide(c) // clusters of 4 and 2
+	v := hierarchical(4).Decide(c) // clusters of 4 and 2
 	if len(v) != 6 {
 		t.Fatalf("vector length %d", len(v))
 	}
@@ -114,7 +121,7 @@ func TestHierarchicalBudgetProperty(t *testing.T) {
 		budget := total * (0.60 + float64(bRaw%41)/100)
 		k := 2 + int(kRaw%4) // cluster sizes 2..5
 		c := ctx(t, budget, powers, instrs, modes.Uniform(n, modes.Turbo))
-		v := Hierarchical{ClusterSize: k}.Decide(c)
+		v := hierarchical(k).Decide(c)
 		_, p := ScoreVector(c.Matrices, v)
 		if p <= budget*1.0001 {
 			return true
@@ -124,14 +131,5 @@ func TestHierarchicalBudgetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHierarchicalName(t *testing.T) {
-	if got := (Hierarchical{}).Name(); got != "Hierarchical(4)" {
-		t.Errorf("default name %q", got)
-	}
-	if (Hierarchical{ClusterSize: 8}).Name() != "Hierarchical(8)" {
-		t.Error("sized name wrong")
 	}
 }

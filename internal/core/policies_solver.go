@@ -90,12 +90,7 @@ func (p SolverPolicy) Name() string {
 
 // Decide implements Policy.
 func (p SolverPolicy) Decide(ctx Context) modes.Vector {
-	inst := solver.Instance{
-		Plan:    ctx.Plan,
-		BudgetW: ctx.BudgetW,
-		Power:   ctx.Matrices.Power,
-		Instr:   ctx.Matrices.Instr,
-	}
+	inst := ctx.Matrices.instance(ctx.Plan, ctx.BudgetW)
 	if fp, fi, ok := ctx.Matrices.Flat(); ok {
 		inst.FlatPower, inst.FlatInstr = fp, fi
 	}

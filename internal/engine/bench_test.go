@@ -69,28 +69,28 @@ func benchLoop(b *testing.B, n int, policy core.Policy, guard *core.GuardConfig,
 // decisions (1000 delta intervals) per op on the synthetic substrate, across
 // manager and middleware configurations.
 func BenchmarkEngine(b *testing.B) {
-	b.Run("plain-maxbips-4", func(b *testing.B) {
+	b.Run("plain-maxbips/cores=4", func(b *testing.B) {
 		benchLoop(b, 4, core.MaxBIPS{}, nil, false, false)
 	})
-	b.Run("guarded-maxbips-4", func(b *testing.B) {
+	b.Run("guarded-maxbips/cores=4", func(b *testing.B) {
 		g := core.DefaultGuard()
 		benchLoop(b, 4, core.MaxBIPS{}, &g, false, false)
 	})
-	b.Run("fullchain-maxbips-4", func(b *testing.B) {
+	b.Run("fullchain-maxbips/cores=4", func(b *testing.B) {
 		g := core.DefaultGuard()
 		benchLoop(b, 4, core.MaxBIPS{}, &g, true, true)
 	})
-	b.Run("plain-greedy-16", func(b *testing.B) {
+	b.Run("plain-greedy/cores=16", func(b *testing.B) {
 		benchLoop(b, 16, core.GreedyMaxBIPS{}, nil, false, false)
 	})
 	// The cold/warm BB pair prices the solver session: cold solves every
 	// interval from scratch; warm rides the loop-owned session (memo on the
 	// noiseless substrate's repeating telemetry, hint-floored solves
 	// otherwise). Same solver, same instances — the gap is the session.
-	b.Run("cold-bb-16", func(b *testing.B) {
+	b.Run("cold-bb/cores=16", func(b *testing.B) {
 		benchLoop(b, 16, core.SolverPolicy{Solver: &solver.BB{}}, nil, false, false)
 	})
-	b.Run("warm-bb-16", func(b *testing.B) {
+	b.Run("warm-bb/cores=16", func(b *testing.B) {
 		benchLoop(b, 16, core.NewSolverPolicy(&solver.BB{}), nil, false, false)
 	})
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"gpm/internal/core"
 	"gpm/internal/metrics"
+	"gpm/internal/solver"
 )
 
 // ---------------------------------------------------------------------------
@@ -40,7 +41,7 @@ func (e *Env) AblationSelectors(width int, budgetFrac float64) ([]SelectorRow, e
 
 	policies := []core.Policy{
 		core.GreedyMaxBIPS{},
-		core.Hierarchical{ClusterSize: 4},
+		core.SolverPolicy{Solver: &solver.Hier{ClusterSize: 4}, Label: "MaxBIPS[hier/4]"},
 		core.StableMaxBIPS{},
 	}
 	if width <= 10 {

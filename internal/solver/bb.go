@@ -293,8 +293,8 @@ func (b *BB) solveFrom(in Instance, cp *Checkpoint, f *frontier, gv modes.Vector
 	st.Exact = !s.aborted
 	// Report only this solve's own checkpoint trips. Reading the shared
 	// checkpoint's latched flag here would let a concurrent sibling (another
-	// cluster goroutine under Hier, another exhaustive shard) that tripped the
-	// budget mark THIS completed exact solve as aborted — inconsistent stats
+	// cluster goroutine under Hier) that tripped the budget mark THIS
+	// completed exact solve as aborted — inconsistent stats
 	// (Exact && Aborted) and a lost memo entry.
 	st.Aborted = s.cpHit
 	st.Elapsed = time.Since(start)

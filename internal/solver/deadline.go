@@ -24,8 +24,8 @@ const cpBatch = 64
 // solvers' hot loops. A solve observing an exhausted checkpoint stops where
 // it is and returns its best incumbent so far (always a feasible vector, or
 // the all-deepest floor when nothing feasible was seen). Checkpoints are
-// safe for concurrent use: the prefix-sharded exhaustive solver and Hier's
-// per-cluster goroutines all charge nodes to the same token.
+// safe for concurrent use: Hier's per-cluster goroutines all charge nodes to
+// the same token.
 //
 // A nil *Checkpoint is valid everywhere and means "never abort", so the
 // unbounded paths stay free of conditionals beyond a nil check.
@@ -112,8 +112,7 @@ type Bounded interface {
 
 // Compile-time proof that every registry solver is Bounded.
 var (
-	_ Bounded = (*Exhaustive)(nil)
-	_ Bounded = (*DP)(nil)
+	_ Bounded = Exhaustive{}
 	_ Bounded = (*BB)(nil)
 	_ Bounded = (*Hier)(nil)
 	_ Bounded = Greedy{}

@@ -80,12 +80,12 @@ func TestNodeBudgetDeterministicAbort(t *testing.T) {
 	}
 }
 
-// TestWallDeadlineAborts drives the sharded exhaustive solver into a large
+// TestWallDeadlineAborts drives the exhaustive solver into a large
 // instance with a 1 ns wall budget: the solve must abort (cooperatively, at
 // a checkpoint) and still return a feasible incumbent.
 func TestWallDeadlineAborts(t *testing.T) {
 	in := randInstance(3, 12, plan3(), 0.7) // 3^12 ≈ 531k vectors unbounded
-	d := WithDeadline(&Exhaustive{}, time.Nanosecond, 0)
+	d := WithDeadline(Exhaustive{}, time.Nanosecond, 0)
 	v, st := d.Solve(in)
 	if !st.Aborted {
 		t.Fatal("1 ns deadline did not abort a 531k-vector enumeration")

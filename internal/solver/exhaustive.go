@@ -1,8 +1,6 @@
 package solver
 
 import (
-	"runtime"
-	"sync"
 	"time"
 
 	"gpm/internal/modes"
@@ -13,177 +11,110 @@ import (
 // running for hours. 2^31 vectors is already minutes of work.
 const maxEnumerable = int64(1) << 31
 
-// Exhaustive is the brute-force reference solver: it scores every
-// modes^cores vector, sharded across worker goroutines by prefix. Shard w
-// owns a contiguous range of assignments to the first d cores (the highest
-// lexicographic digits) and enumerates the remaining cores' combinations
-// beneath each prefix; merging shard winners in prefix order under the
-// strict improvement rule reproduces the sequential kernel's result
-// bit-for-bit, including its lexicographic tie-breaking.
-type Exhaustive struct {
-	// Workers bounds the shard goroutines (default GOMAXPROCS).
-	Workers int
-}
+// Exhaustive is the brute-force reference solver and the kernel behind the
+// paper's MaxBIPS (§5.2.3) and Oracle (§5.6) policies: it scores every
+// modes^cores vector in lexicographic order (core 0 most significant) and
+// keeps the best under the strict improvement rule, so ties resolve to
+// lower power, then to the lexicographically smallest vector.
+//
+// A vector is skipped only when its predicted power exceeds the budget, and
+// the running best starts as the all-deepest vector at throughput −1. A NaN
+// power entry therefore does not disqualify a vector by itself — MaxBIPS's
+// long-standing behaviour on poisoned telemetry.
+type Exhaustive struct{}
 
 // Name implements Solver.
-func (*Exhaustive) Name() string { return "exhaustive" }
+func (Exhaustive) Name() string { return "exhaustive" }
 
 // Solve implements Solver.
-func (e *Exhaustive) Solve(in Instance) (modes.Vector, Stats) {
+func (e Exhaustive) Solve(in Instance) (modes.Vector, Stats) {
 	return e.SolveBounded(in, nil)
 }
 
-// SolveBounded implements Bounded. All shards charge nodes to the shared
-// checkpoint; an aborted solve merges whatever the shards found before the
-// cut (feasible, or the all-deepest floor if nothing feasible was seen).
-func (e *Exhaustive) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
+// SolveBounded implements Bounded. Nodes are charged to the checkpoint in
+// cpBatch batches; an aborted solve returns the best vector seen before the
+// cut (the all-deepest floor if nothing qualified yet).
+func (e Exhaustive) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
-	n, m := in.NumCores(), in.NumModes()
 	st := Stats{Solver: e.Name(), Exact: true}
-	if n == 0 {
-		st.Elapsed = time.Since(start)
-		return modes.Vector{}, st
+	var v modes.Vector
+	if enumerable(in) {
+		v, st.Nodes, st.Aborted = enumerate(in, cp)
+	} else {
+		// Refuse intractable instances: fall back to greedy rather than hang.
+		v, st.Nodes, st.Aborted = greedySolve(in, cp)
+		st.Exact = false
 	}
-
-	// Refuse intractable instances: fall back to greedy rather than hang.
-	total := int64(1)
-	for c := 0; c < n; c++ {
-		if total > maxEnumerable/int64(m) {
-			v, nodes, aborted := greedySolve(in, cp)
-			st.Exact = false
-			st.Nodes = nodes
-			st.Aborted = aborted
-			st.Elapsed = time.Since(start)
-			return v, st
-		}
-		total *= int64(m)
-	}
-
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Prefix depth: enough prefixes to give every worker several shards'
-	// worth of balance, but never the whole problem.
-	depth := 0
-	numPrefix := int64(1)
-	for numPrefix < int64(workers)*8 && depth < n-1 {
-		numPrefix *= int64(m)
-		depth++
-	}
-	if int64(workers) > numPrefix {
-		workers = int(numPrefix)
-	}
-	st.Workers = workers
-
-	type shardBest struct {
-		found   bool
-		t, p    float64
-		v       modes.Vector
-		nodes   int64
-		aborted bool
-	}
-	results := make([]shardBest, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := numPrefix * int64(w) / int64(workers)
-		hi := numPrefix * int64(w+1) / int64(workers)
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			results[w] = enumerateRange(in, depth, lo, hi, cp)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	// Merge in shard (prefix) order with the strict rule: the first shard to
-	// reach the optimum (t, p) wins, i.e. the lexicographically smallest
-	// optimal vector overall.
-	best := in.deepestVector()
-	bestT, bestP := -1.0, 0.0
-	found := false
-	for _, r := range results {
-		st.Nodes += r.nodes
-		if r.aborted {
-			st.Aborted = true
-			st.Exact = false
-		}
-		if !r.found {
-			continue
-		}
-		if !found || better(r.t, r.p, bestT, bestP) {
-			found = true
-			bestT, bestP = r.t, r.p
-			best = r.v
-		}
+	if st.Aborted {
+		st.Exact = false
 	}
 	st.Elapsed = time.Since(start)
-	return best, st
+	return v, st
 }
 
-// enumerateRange scores every vector whose first `depth` cores decode the
-// prefix indices in [lo, hi); suffix cores run a full odometer. Vectors are
-// visited in lexicographic order within the range. Nodes are charged to the
-// checkpoint in cpBatch batches; an exhausted checkpoint stops the shard at
-// its current best.
-func enumerateRange(in Instance, depth int, lo, hi int64, cp *Checkpoint) (out struct {
-	found   bool
-	t, p    float64
-	v       modes.Vector
-	nodes   int64
-	aborted bool
-}) {
+// enumerable reports whether modes^cores stays within maxEnumerable.
+func enumerable(in Instance) bool {
+	m := int64(in.NumModes())
+	total := int64(1)
+	for c := 0; c < in.NumCores(); c++ {
+		if total > maxEnumerable/m {
+			return false
+		}
+		total *= m
+	}
+	return true
+}
+
+// enumerate is the exhaustive kernel: an odometer over all vectors with
+// canonical-order partial sums. pw[c] and ins[c] hold the power and
+// throughput of cores 0..c-1 folded left from zero, so pw[n] is
+// bit-identical to VectorPower(v), and each step re-sums only the cores at
+// and below the digit the odometer changed. The sums live on the stack at
+// every enumerable width of a multi-mode plan (at most 31 cores), leaving
+// two allocations per call: the odometer and the best vector.
+func enumerate(in Instance, cp *Checkpoint) (best modes.Vector, nodes int64, aborted bool) {
 	n, m := in.NumCores(), in.NumModes()
 	v := make(modes.Vector, n)
-	best := make(modes.Vector, n)
-	var cpDebt int64
-	for pi := lo; pi < hi; pi++ {
-		// Decode the prefix, most-significant digit first (core 0).
-		rem := pi
-		for c := depth - 1; c >= 0; c-- {
-			v[c] = modes.Mode(rem % int64(m))
-			rem /= int64(m)
+	best = in.deepestVector()
+	bestT, bestP := -1.0, 0.0
+	var stack [64]float64
+	sums := stack[:]
+	if 2*(n+1) > len(sums) {
+		sums = make([]float64, 2*(n+1))
+	}
+	pw, ins := sums[:n+1], sums[n+1:2*(n+1)]
+	var debt int64
+	for from := 0; ; {
+		for c := from; c < n; c++ {
+			pw[c+1] = pw[c] + in.Power[c][v[c]]
+			ins[c+1] = ins[c] + in.Instr[c][v[c]]
 		}
-		for c := depth; c < n; c++ {
-			v[c] = 0
+		nodes++
+		if cp != nil {
+			debt++
+			if debt >= cpBatch {
+				if cp.Visit(debt) {
+					return best, nodes, true
+				}
+				debt = 0
+			}
 		}
-		for {
-			out.nodes++
-			if cp != nil {
-				cpDebt++
-				if cpDebt >= cpBatch {
-					if cp.Visit(cpDebt) {
-						out.aborted = true
-						out.v = best
-						return out
-					}
-					cpDebt = 0
-				}
-			}
-			p := in.VectorPower(v)
-			if p <= in.BudgetW {
-				t := in.VectorInstr(v)
-				if !out.found || better(t, p, out.t, out.p) {
-					out.found = true
-					out.t, out.p = t, p
-					copy(best, v)
-				}
-			}
-			// Suffix odometer.
-			c := n - 1
-			for c >= depth {
-				v[c]++
-				if int(v[c]) < m {
-					break
-				}
-				v[c] = 0
-				c--
-			}
-			if c < depth {
+		if p := pw[n]; !(p > in.BudgetW) && better(ins[n], p, bestT, bestP) {
+			bestT, bestP = ins[n], p
+			copy(best, v)
+		}
+		// Odometer step: bump the last core, carrying leftwards.
+		from = n - 1
+		for from >= 0 {
+			v[from]++
+			if int(v[from]) < m {
 				break
 			}
+			v[from] = 0
+			from--
+		}
+		if from < 0 {
+			return best, nodes, false
 		}
 	}
-	out.v = best
-	return out
 }

@@ -111,7 +111,6 @@ type Session struct {
 
 	gs   greedyScratch
 	bb   bbScratch
-	dp   dpScratch
 	hier *hierState
 
 	stats  SessionStats
@@ -150,7 +149,7 @@ type memoEntry struct {
 // NewSession builds a stateful solving session over s. Deadline wrappers are
 // unwrapped and their wall/node budgets applied per Solve (tightest layer
 // wins), exactly like Deadline.Solve. The memo is enabled for stateless
-// solvers only: BB, DP, Exhaustive, Greedy, and Hier with Alpha == 0 — a
+// solvers only: BB, Exhaustive, Greedy, and Hier with Alpha == 0 — a
 // share-smoothing Hier must re-solve so its share state keeps evolving.
 func NewSession(s Solver) *Session {
 	ses := &Session{solver: s}
@@ -176,7 +175,7 @@ func NewSession(s Solver) *Session {
 	case *BB:
 		ses.memoOK = true
 		ses.deltaOK = b.NodeLimit == 0 && ses.wall == 0 && ses.nodeBudget == 0
-	case *DP, *Exhaustive, Greedy:
+	case Exhaustive, Greedy:
 		ses.memoOK = true
 	}
 	return ses
@@ -225,7 +224,6 @@ func (s *Session) Close() {
 	}
 	s.gs = greedyScratch{}
 	s.bb = bbScratch{}
-	s.dp = dpScratch{}
 }
 
 // Solve runs one warm-started solve. Semantics match the wrapped solver's
@@ -280,8 +278,6 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	switch b := s.base.(type) {
 	case *BB:
 		v, st = s.solveBB(b, in, h, warm, cp)
-	case *DP:
-		v, st = b.solveWith(in, cp, &s.dp)
 	case *Hier:
 		v, st = b.solveWith(in, cp, s.hier, h)
 	case Greedy:
@@ -822,7 +818,7 @@ func heapGreedy(in Instance, cp *Checkpoint, g *greedyScratch) (_ modes.Vector, 
 		if v[c] == 0 {
 			continue
 		}
-		dp, ratio := upgradeDelta(in, c, v[c])
+		dp, ratio := upgradeDelta(in.Power[c], in.Instr[c], v[c])
 		nodes++
 		g.push(gcand{ratio: ratio, dp: dp, core: int32(c)})
 	}
@@ -863,7 +859,7 @@ func heapGreedy(in Instance, cp *Checkpoint, g *greedyScratch) (_ modes.Vector, 
 			g.stash = g.stash[:0]
 		}
 		if v[c] > 0 {
-			dp, ratio := upgradeDelta(in, c, v[c])
+			dp, ratio := upgradeDelta(in.Power[c], in.Instr[c], v[c])
 			nodes++
 			g.push(gcand{ratio: ratio, dp: dp, core: int32(c)})
 		}
@@ -883,31 +879,9 @@ func resizeFloats(s []float64, n int) []float64 {
 	return s
 }
 
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 func resizeInt64s(s []int64, n int) []int64 {
 	if cap(s) < n {
 		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeBytes(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
 	}
 	s = s[:n]
 	for i := range s {

@@ -8,27 +8,25 @@
 // decision out of internal/core into pluggable solvers behind one interface,
 // all proven against the exhaustive kernel:
 //
-//   - Exhaustive: the brute-force reference, prefix-sharded across worker
-//     goroutines so the tractable range stretches a few cores further.
-//   - DP: a pseudo-polynomial multiple-choice knapsack over quantized power
-//     with a configurable quantum and a certified optimality-gap bound.
+//   - Exhaustive: the brute-force enumeration itself — the one kernel behind
+//     core's MaxBIPS, Oracle and StableMaxBIPS policies.
 //   - BB: exact branch-and-bound seeded with the greedy incumbent and pruned
 //     by a fractional (convex-hull water-filling) relaxation upper bound —
 //     exact answers at 64+ cores in microseconds to milliseconds.
 //   - Hier: a two-level manager that partitions the chip budget across core
 //     clusters, solves each cluster independently, and rebalances slack
 //     between clusters — the 1000-core scaling story.
-//   - Greedy: the marginal-utility heuristic (core.GreedyMaxBIPS's algorithm),
-//     used standalone and as the incumbent seed for BB and Hier.
+//   - Greedy: the marginal-utility heuristic behind core.GreedyMaxBIPS, used
+//     standalone and as the incumbent seed for BB and Hier.
 //
 // All solvers are deterministic: ties on predicted throughput resolve to
 // lower power, then to the lexicographically smallest vector, matching the
-// exhaustive kernel in internal/core.
+// exhaustive kernel.
 package solver
 
 import (
 	"fmt"
-	"math"
+	"strings"
 	"time"
 
 	"gpm/internal/modes"
@@ -121,22 +119,16 @@ type Stats struct {
 	// Solver is the registry name of the solver that produced the vector.
 	Solver string
 	// Nodes counts evaluated states: vectors for enumerative solvers,
-	// branch nodes for BB, table cells for DP.
+	// branch nodes for BB, candidate upgrades for greedy.
 	Nodes int64
 	// Pruned counts subtrees cut by bounds (BB only).
 	Pruned int64
 	// Exact reports that the returned vector is a true optimum of the
 	// instance (not merely of a relaxation or decomposition).
 	Exact bool
-	// GapBound, for inexact solvers that can certify one, bounds the
-	// relative throughput shortfall vs the true optimum:
-	// (OPT − returned) / OPT ≤ GapBound.
-	GapBound float64
 	// UpperBoundInstr is the fractional-relaxation throughput upper bound
-	// when the solver computed one (BB root bound, DP gap certificate).
+	// when the solver computed one (BB's root bound).
 	UpperBoundInstr float64
-	// Workers is the goroutine count used by parallel solvers.
-	Workers int
 	// Elapsed is the wall-clock duration of the Solve call.
 	Elapsed time.Duration
 	// Aborted reports that the solve was cut short by a Checkpoint (wall
@@ -158,34 +150,19 @@ type Solver interface {
 
 // Options parameterizes New.
 type Options struct {
-	// QuantumW is DP's power quantum in watts; 0 selects the adaptive
-	// default BudgetW / max(2048, 16·cores).
-	QuantumW float64
 	// ClusterSize is Hier's cores-per-cluster (default 8).
 	ClusterSize int
-	// Workers bounds the goroutines of parallel solvers (default GOMAXPROCS).
-	Workers int
 	// NodeLimit caps BB's branch nodes; 0 means unlimited. When the cap is
 	// hit BB returns its incumbent with Exact=false.
 	NodeLimit int64
 }
 
 // Validate checks Options for values that would silently misbehave inside
-// the solvers (a negative quantum flips DP's rounding, a negative cluster
-// size degenerates Hier, negative worker or node counts read as "unlimited").
-// All failures are *OptionError.
+// the solvers (a negative cluster size degenerates Hier, a negative node
+// count reads as "unlimited"). All failures are *OptionError.
 func (opt Options) Validate() error {
-	if math.IsNaN(opt.QuantumW) || math.IsInf(opt.QuantumW, 0) {
-		return &OptionError{Field: "QuantumW", Value: opt.QuantumW, Reason: "must be finite"}
-	}
-	if opt.QuantumW < 0 {
-		return &OptionError{Field: "QuantumW", Value: opt.QuantumW, Reason: "must be non-negative (0 selects the adaptive default)"}
-	}
 	if opt.ClusterSize < 0 {
 		return &OptionError{Field: "ClusterSize", Value: opt.ClusterSize, Reason: "must be non-negative (0 selects the default)"}
-	}
-	if opt.Workers < 0 {
-		return &OptionError{Field: "Workers", Value: opt.Workers, Reason: "must be non-negative (0 selects GOMAXPROCS)"}
 	}
 	if opt.NodeLimit < 0 {
 		return &OptionError{Field: "NodeLimit", Value: opt.NodeLimit, Reason: "must be non-negative (0 means unlimited)"}
@@ -211,7 +188,7 @@ func (e *OptionError) Error() string {
 }
 
 // Names lists the registry names accepted by New.
-func Names() []string { return []string{"exhaustive", "dp", "bb", "hier", "greedy"} }
+func Names() []string { return []string{"exhaustive", "bb", "hier", "greedy"} }
 
 // New builds a solver by registry name. Options are validated first; a
 // rejected option returns a *OptionError.
@@ -221,9 +198,7 @@ func New(name string, opt Options) (Solver, error) {
 	}
 	switch name {
 	case "exhaustive":
-		return &Exhaustive{Workers: opt.Workers}, nil
-	case "dp":
-		return &DP{QuantumW: opt.QuantumW}, nil
+		return Exhaustive{}, nil
 	case "bb":
 		return &BB{NodeLimit: opt.NodeLimit}, nil
 	case "hier":
@@ -231,7 +206,7 @@ func New(name string, opt Options) (Solver, error) {
 	case "greedy":
 		return Greedy{}, nil
 	default:
-		return nil, fmt.Errorf("solver: unknown solver %q (want exhaustive|dp|bb|hier|greedy)", name)
+		return nil, fmt.Errorf("solver: unknown solver %q (want %s)", name, strings.Join(Names(), "|"))
 	}
 }
 
@@ -239,8 +214,7 @@ func New(name string, opt Options) (Solver, error) {
 // vector and repeatedly apply the single-core, single-step upgrade with the
 // best ΔBIPS/ΔPower ratio that still fits the budget. O(cores² × modes).
 // Ties on the ratio resolve to the lowest core index (the scan keeps the
-// first maximum), mirroring core.GreedyMaxBIPS so cross-checks between the
-// two implementations are deterministic.
+// first maximum) — the tie rule core.GreedyMaxBIPS documents.
 type Greedy struct{}
 
 // Name implements Solver.
@@ -260,15 +234,17 @@ func (g Greedy) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) 
 	return v, st
 }
 
-// upgradeDelta scores the single-step upgrade of core c from mode cur to
-// cur−1: the power delta and the ΔBIPS/ΔPower ratio under the greedy
-// kernel's conventions (near-zero ΔPower with positive ΔBIPS reads as free
-// throughput). Shared by the scan and heap greedy implementations so their
-// candidate orderings agree bit-for-bit.
-func upgradeDelta(in Instance, c int, cur modes.Mode) (dp, ratio float64) {
+// upgradeDelta scores the single-step upgrade of a core from mode cur to
+// cur−1, given its power and instruction rows: the power delta and the
+// ΔBIPS/ΔPower ratio under the greedy kernel's conventions (near-zero
+// ΔPower with positive ΔBIPS reads as free throughput). Shared by the scan
+// and heap greedy implementations so their candidate orderings agree
+// bit-for-bit. It takes rows rather than the Instance so the inlined call
+// does not copy the instance per candidate.
+func upgradeDelta(power, instr []float64, cur modes.Mode) (dp, ratio float64) {
 	up := cur - 1
-	dp = in.Power[c][up] - in.Power[c][cur]
-	di := in.Instr[c][up] - in.Instr[c][cur]
+	dp = power[up] - power[cur]
+	di := instr[up] - instr[cur]
 	ratio = di
 	if dp > 1e-12 {
 		ratio = di / dp
@@ -301,7 +277,7 @@ func greedySolve(in Instance, cp *Checkpoint) (v modes.Vector, nodes int64, abor
 			if v[c] == 0 {
 				continue
 			}
-			dp, ratio := upgradeDelta(in, c, v[c])
+			dp, ratio := upgradeDelta(in.Power[c], in.Instr[c], v[c])
 			nodes++
 			if power+dp > in.BudgetW {
 				continue

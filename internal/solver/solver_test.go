@@ -51,9 +51,10 @@ func replicatedInstance(n int, plan modes.Plan, budgetFrac float64) Instance {
 	return in
 }
 
-// referenceSolve is an independent sequential re-implementation of the
-// exhaustive kernel (lexicographic odometer + strict improvement), kept
-// deliberately simple to cross-check the sharded solver.
+// referenceSolve is an independent re-implementation of the exhaustive
+// kernel (lexicographic odometer + strict improvement, full canonical-order
+// sums per vector), kept deliberately simple to cross-check the kernel's
+// partial-sum enumeration.
 func referenceSolve(in Instance) modes.Vector {
 	n, m := in.NumCores(), in.NumModes()
 	best := in.deepestVector()
@@ -88,28 +89,37 @@ func TestExhaustiveShardingMatchesSequentialReference(t *testing.T) {
 		for _, frac := range []float64{0.55, 0.8, 1.0} {
 			in := randInstance(int64(n)*100+int64(frac*100), n, plan3(), frac)
 			want := referenceSolve(in)
-			for _, workers := range []int{1, 3, 8} {
-				ex := &Exhaustive{Workers: workers}
-				got, st := ex.Solve(in)
-				if !got.Equal(want) {
-					t.Fatalf("n=%d frac=%.2f workers=%d: sharded %v != reference %v", n, frac, workers, got, want)
-				}
-				if !st.Exact {
-					t.Fatalf("exhaustive not exact")
-				}
-				wantNodes := int64(math.Pow(float64(in.NumModes()), float64(n)))
-				if st.Nodes != wantNodes {
-					t.Fatalf("n=%d workers=%d: visited %d vectors, want %d", n, workers, st.Nodes, wantNodes)
-				}
+			got, st := Exhaustive{}.Solve(in)
+			if !got.Equal(want) {
+				t.Fatalf("n=%d frac=%.2f: exhaustive %v != reference %v", n, frac, got, want)
+			}
+			if !st.Exact {
+				t.Fatalf("exhaustive not exact")
+			}
+			wantNodes := int64(math.Pow(float64(in.NumModes()), float64(n)))
+			if st.Nodes != wantNodes {
+				t.Fatalf("n=%d: visited %d vectors, want %d", n, st.Nodes, wantNodes)
 			}
 		}
 	}
 }
 
+// TestExhaustiveNaNPowerStaysEligible pins MaxBIPS's acceptance rule: a
+// vector is skipped only when its power exceeds the budget, so a NaN power
+// entry (poisoned telemetry) does not disqualify it on its own.
+func TestExhaustiveNaNPowerStaysEligible(t *testing.T) {
+	in := randInstance(5, 3, plan3(), 0.8)
+	in.Power[1][0] = math.NaN()
+	in.Instr[1][0] = 1e9 // dominates every other throughput
+	v, _ := Exhaustive{}.Solve(in)
+	if want := (modes.Vector{0, 0, 0}); !v.Equal(want) {
+		t.Fatalf("got %v, want %v: the NaN-power vectors were skipped", v, want)
+	}
+}
+
 func TestExhaustiveIntractableFallsBackToGreedy(t *testing.T) {
 	in := randInstance(7, 64, plan3(), 0.8)
-	ex := &Exhaustive{}
-	v, st := ex.Solve(in)
+	v, st := Exhaustive{}.Solve(in)
 	if st.Exact {
 		t.Fatal("64-core exhaustive should not claim exactness")
 	}
@@ -173,48 +183,33 @@ func TestBBNodeLimitReturnsFeasibleIncumbent(t *testing.T) {
 	}
 }
 
-func TestDPQualityAndQuantumControl(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		in := randInstance(seed, 8, plan3(), 0.75)
-		opt := referenceSolve(in)
-		optT := in.VectorInstr(opt)
-		dp := &DP{}
-		v, st := dp.Solve(in)
-		if p := in.VectorPower(v); p > in.BudgetW {
-			t.Fatalf("seed %d: dp infeasible", seed)
-		}
-		if got := in.VectorInstr(v); got < 0.99*optT {
-			t.Fatalf("seed %d: dp quality %.4f below 99%%", seed, got/optT)
-		}
-		// A coarser explicit quantum still yields a feasible vector and a
-		// larger (but still valid) reported gap.
-		coarse := &DP{QuantumW: in.BudgetW / 64}
-		cv, cst := coarse.Solve(in)
-		if p := in.VectorPower(cv); p > in.BudgetW {
-			t.Fatalf("seed %d: coarse dp infeasible", seed)
-		}
-		if cst.GapBound < st.GapBound-1e-12 {
-			t.Fatalf("seed %d: coarse quantum reported smaller gap (%g < %g)", seed, cst.GapBound, st.GapBound)
-		}
-	}
-}
-
 func TestHierFeasibleDeterministicAndNearOptimal(t *testing.T) {
+	// Random 12-core instances (three full clusters of 4), random 6-core
+	// instances (a ragged split into clusters of 4 and 2), and a uniform
+	// 8-core instance where every cluster's demand is equal.
+	var cases []Instance
 	for seed := int64(0); seed < 6; seed++ {
-		in := randInstance(seed+50, 12, plan3(), 0.8)
+		cases = append(cases, randInstance(seed+50, 12, plan3(), 0.8))
+		cases = append(cases, randInstance(seed+70, 6, plan3(), 0.7+0.05*float64(seed)))
+	}
+	cases = append(cases, replicatedInstance(8, plan3(), 0.75))
+	for i, in := range cases {
 		opt := referenceSolve(in) // 3^12 ≈ 531k, fine
 		optT := in.VectorInstr(opt)
 		h := &Hier{ClusterSize: 4}
 		v1, _ := h.Solve(in)
 		v2, _ := h.Solve(in)
+		if len(v1) != in.NumCores() {
+			t.Fatalf("case %d: hier returned %d modes for %d cores", i, len(v1), in.NumCores())
+		}
 		if !v1.Equal(v2) {
-			t.Fatalf("seed %d: stateless hier not deterministic", seed)
+			t.Fatalf("case %d: stateless hier not deterministic", i)
 		}
 		if p := in.VectorPower(v1); p > in.BudgetW+in.budgetEps() {
-			t.Fatalf("seed %d: hier infeasible: %g > %g", seed, p, in.BudgetW)
+			t.Fatalf("case %d: hier infeasible: %g > %g", i, p, in.BudgetW)
 		}
 		if got := in.VectorInstr(v1); got < 0.95*optT {
-			t.Fatalf("seed %d: hier quality %.4f below 95%%", seed, got/optT)
+			t.Fatalf("case %d: hier quality %.4f below 95%%", i, got/optT)
 		}
 	}
 }
@@ -266,7 +261,7 @@ func TestInfeasibleBudgetReturnsAllDeepest(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	for _, name := range Names() {
-		s, err := New(name, Options{QuantumW: 0.5, ClusterSize: 4, Workers: 2, NodeLimit: 1000})
+		s, err := New(name, Options{ClusterSize: 4, NodeLimit: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,28 +274,17 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestBB64CoresUnder10ms is the acceptance gate for the exact solver at
-// scale: a 64-core, 3-mode instance must be decided in well under 10 ms.
-// testing.Benchmark gives a measured ns/op rather than a one-shot timing.
+// TestBB64CoresUnder10ms pins the exact solver at scale: a 64-core, 3-mode
+// instance is decided exactly and feasibly. Its 10 ms latency bound is
+// timed by `make bench-check` on BenchmarkSolver/bb/cores=64 (the same
+// instance), so wall-clock speed never decides this test's outcome.
 func TestBB64CoresUnder10ms(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing assertion skipped in -short")
-	}
 	in := randInstance(64, 64, plan3(), 0.8)
-	bb := &BB{}
-	v, st := bb.Solve(in)
+	v, st := (&BB{}).Solve(in)
 	if !st.Exact {
 		t.Fatal("bb inexact at 64 cores")
 	}
 	if p := in.VectorPower(v); p > in.BudgetW {
 		t.Fatal("bb infeasible at 64 cores")
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bb.Solve(in)
-		}
-	})
-	if perOp := res.NsPerOp(); perOp > 10_000_000 {
-		t.Fatalf("64-core bb decision took %d ns/op, want < 10ms", perOp)
 	}
 }
