@@ -1,94 +1,67 @@
 package calib
 
-import (
-	"hash"
-	"hash/fnv"
-	"math"
-)
+import "gpm/internal/obs"
 
-// fpWriter mirrors internal/obs's FNV-64a float-bits hashing so the calib
-// golden fingerprints use the same primitive as the engine's.
-type fpWriter struct{ h hash.Hash64 }
-
-func newFPWriter() fpWriter { return fpWriter{h: fnv.New64a()} }
-
-func (w fpWriter) f(f float64) {
-	var b [8]byte
-	u := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-	w.h.Write(b[:])
+// str hashes s with a zero terminator, so adjacent strings cannot run
+// together.
+func str(w *obs.Digest, s string) {
+	w.Text(s)
+	w.Text("\x00")
 }
 
-func (w fpWriter) s(s string) {
-	w.h.Write([]byte(s))
-	w.h.Write([]byte{0})
-}
-
-func (w fpWriter) sum() uint64 { return w.h.Sum64() }
-
-func (w fpWriter) fit(f Fit) {
-	w.f(float64(f.N))
-	w.f(f.MAPE)
-	w.f(f.Bias)
-	w.f(f.R)
-	if f.RDefined {
-		w.f(1)
-	} else {
-		w.f(0)
-	}
+func hashFit(w *obs.Digest, f Fit) {
+	w.Float(float64(f.N))
+	w.Float(f.MAPE)
+	w.Float(f.Bias)
+	w.Float(f.R)
+	w.Flag(f.RDefined)
 }
 
 // ScoreFingerprint hashes every numeric series and fit statistic of a
 // calibration Score bit-exactly, so any drift in the predictor, the trace
 // schema, or the scoring pairing changes the hash.
 func ScoreFingerprint(s *Score) uint64 {
-	w := newFPWriter()
-	w.s(s.Substrate)
-	w.s(s.Policy)
-	w.s(s.ComboID)
-	w.f(s.MeanBudgetW)
-	w.f(float64(s.Intervals))
-	w.fit(s.Power)
-	w.fit(s.Instr)
+	w := obs.NewDigest()
+	str(&w, s.Substrate)
+	str(&w, s.Policy)
+	str(&w, s.ComboID)
+	w.Float(s.MeanBudgetW)
+	w.Float(float64(s.Intervals))
+	hashFit(&w, s.Power)
+	hashFit(&w, s.Instr)
 	for i := range s.PredPowerW {
-		w.f(s.PredPowerW[i])
-		w.f(s.ActualPowerW[i])
-		w.f(s.PredInstr[i])
-		w.f(s.ActualInstr[i])
+		w.Float(s.PredPowerW[i])
+		w.Float(s.ActualPowerW[i])
+		w.Float(s.PredInstr[i])
+		w.Float(s.ActualInstr[i])
 	}
-	return w.sum()
+	return w.Sum()
 }
 
 // ReplayFingerprint hashes a counterfactual replay's full per-interval regret
 // series and cumulative totals bit-exactly.
 func ReplayFingerprint(r *ReplayResult) uint64 {
-	w := newFPWriter()
-	w.s(r.Policy)
-	w.s(r.RecordedPolicy)
+	w := obs.NewDigest()
+	str(&w, r.Policy)
+	str(&w, r.RecordedPolicy)
 	for i := range r.Intervals {
 		ir := &r.Intervals[i]
-		w.f(float64(ir.Interval))
-		w.f(float64(ir.NowNs))
-		w.f(ir.BudgetW)
-		w.f(ir.RecordedInstr)
-		w.f(ir.PolicyInstr)
-		w.f(ir.OracleInstr)
-		w.f(ir.RecordedPowerW)
-		w.f(ir.PolicyPowerW)
-		w.f(ir.OraclePowerW)
-		w.f(ir.VsRecorded)
-		w.f(ir.VsOracle)
-		if ir.Matched {
-			w.f(1)
-		} else {
-			w.f(0)
-		}
+		w.Float(float64(ir.Interval))
+		w.Float(float64(ir.NowNs))
+		w.Float(ir.BudgetW)
+		w.Float(ir.RecordedInstr)
+		w.Float(ir.PolicyInstr)
+		w.Float(ir.OracleInstr)
+		w.Float(ir.RecordedPowerW)
+		w.Float(ir.PolicyPowerW)
+		w.Float(ir.OraclePowerW)
+		w.Float(ir.VsRecorded)
+		w.Float(ir.VsOracle)
+		w.Flag(ir.Matched)
 	}
-	w.f(r.CumVsRecorded)
-	w.f(r.CumVsOracle)
-	w.f(r.RecordedVsOracle)
-	w.f(float64(r.Matches))
-	return w.sum()
+	w.Float(r.CumVsRecorded)
+	w.Float(r.CumVsOracle)
+	w.Float(r.RecordedVsOracle)
+	w.Float(float64(r.Matches))
+	return w.Sum()
 }

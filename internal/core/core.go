@@ -56,11 +56,11 @@ type Matrices struct {
 	// (sample, mode) inputs the current rows were computed from — a row is a
 	// pure function of them under a fixed predictor, so an equal input means
 	// the row is bit-identical and both the fill and the stamp are skipped.
-	gens         []uint64
-	gen          uint64
-	genID        uint64
-	lastS        []Sample
-	lastM        modes.Vector
+	gens  []uint64
+	gen   uint64
+	genID uint64
+	lastS []Sample
+	lastM modes.Vector
 }
 
 // matricesGenID hands out process-unique backing IDs (0 reserved: untracked).

@@ -190,7 +190,9 @@ type sessionOwner interface {
 
 // sessionReporter is the optional Policy facet exposing the session's
 // cumulative warm-start counters for Result.Obs.
-type sessionReporter interface{ SessionStats() (solver.SessionStats, bool) }
+type sessionReporter interface {
+	SessionStats() (solver.SessionStats, bool)
+}
 
 // sessionInvalidator is the optional Policy facet the loop uses to drop the
 // session's memo, delta certificate, and stability flag at workload

@@ -1,41 +1,28 @@
 package fleet
 
-import (
-	"hash/fnv"
-	"math"
-
-	"gpm/internal/obs"
-)
+import "gpm/internal/obs"
 
 // serveHash folds every request's routing and completion outcome — in
 // canonical arrival order — into one FNV-64a digest. Any drift in arrival
 // generation, placement, admission or completion interpolation moves it.
 func serveHash(reqs []*request) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	wu := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	wf := func(f float64) { wu(math.Float64bits(f)) }
+	h := obs.NewDigest()
 	for _, rq := range reqs {
-		wu(uint64(rq.cohort)<<40 | uint64(rq.client)<<20 | uint64(uint32(rq.seq)))
-		wf(rq.arriveSec)
-		wu(uint64(int64(rq.chip))<<32 | uint64(uint32(rq.core)))
+		h.Word(uint64(rq.cohort)<<40 | uint64(rq.client)<<20 | uint64(uint32(rq.seq)))
+		h.Float(rq.arriveSec)
+		h.Word(uint64(int64(rq.chip))<<32 | uint64(uint32(rq.core)))
 		switch {
 		case rq.shed:
-			wu(1)
+			h.Word(1)
 		case rq.done:
-			wu(2)
-			wf(rq.completeSec)
+			h.Word(2)
+			h.Float(rq.completeSec)
 		default:
-			wu(3)
-			wf(rq.remaining)
+			h.Word(3)
+			h.Float(rq.remaining)
 		}
 	}
-	return h.Sum64()
+	return h.Sum()
 }
 
 // Fingerprint hashes a fleet result bit-exactly: the serving digest, the
@@ -43,35 +30,27 @@ func serveHash(reqs []*request) uint64 {
 // golden the fleet serving path is pinned by, alongside the cmpsim/trace
 // goldens.
 func Fingerprint(r *Result) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	wu := func(u uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	wf := func(f float64) { wu(math.Float64bits(f)) }
-	wu(r.ServeHash)
-	wu(uint64(r.Arrived))
-	wu(uint64(r.Completed))
-	wu(uint64(r.Shed))
-	wu(uint64(r.Unfinished))
+	h := obs.NewDigest()
+	h.Word(r.ServeHash)
+	h.Word(uint64(r.Arrived))
+	h.Word(uint64(r.Completed))
+	h.Word(uint64(r.Shed))
+	h.Word(uint64(r.Unfinished))
 	for _, e := range r.EpochLog {
-		wf(float64(e.Start))
-		wf(e.FacilityCapW)
+		h.Float(float64(e.Start))
+		h.Float(e.FacilityCapW)
 		for i := range e.GrantW {
-			wf(e.GrantW[i])
-			wf(e.BacklogInstr[i])
-			wf(e.DemandInstr[i])
+			h.Float(e.GrantW[i])
+			h.Float(e.BacklogInstr[i])
+			h.Float(e.DemandInstr[i])
 		}
 	}
 	for _, cs := range r.Cohorts {
-		wu(uint64(cs.AttainedSLO))
-		wf(cs.ServedInstr)
+		h.Word(uint64(cs.AttainedSLO))
+		h.Float(cs.ServedInstr)
 	}
 	for _, cr := range r.ChipResults {
-		wu(obs.ResultFingerprint(cr))
+		h.Word(obs.ResultFingerprint(cr))
 	}
-	return h.Sum64()
+	return h.Sum()
 }

@@ -1,30 +1,61 @@
 package obs
 
 import (
-	"hash"
-	"hash/fnv"
 	"math"
 
 	"gpm/internal/engine"
 )
 
-// fpWriter hashes float64s bit-exactly into an FNV-64a stream — the one
-// hashing primitive behind both the Result and trace fingerprints, so the
-// golden tests and the trace footers can never drift apart.
-type fpWriter struct{ h hash.Hash64 }
+// FNV-64a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
-func newFPWriter() fpWriter { return fpWriter{h: fnv.New64a()} }
+// Digest is an inline FNV-64a hash over 64-bit words, floats and strings —
+// the one hashing primitive behind every golden fingerprint (Result, trace,
+// calibration, fleet), so they can never drift apart. A word is hashed as
+// its 8 little-endian bytes and a float as its IEEE-754 bits, so a digest
+// equals hash/fnv's New64a fed the same bytes; unlike writing through a
+// hash.Hash64, hashing a value allocates nothing.
+type Digest struct{ h uint64 }
 
-func (w fpWriter) f(f float64) {
-	var b [8]byte
-	u := math.Float64bits(f)
+// NewDigest returns an empty digest.
+func NewDigest() Digest { return Digest{h: fnvOffset64} }
+
+// Word hashes u's 8 bytes, least significant first.
+func (d *Digest) Word(u uint64) {
+	h := d.h
 	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
+		h = (h ^ u&0xff) * fnvPrime64
+		u >>= 8
 	}
-	w.h.Write(b[:])
+	d.h = h
 }
 
-func (w fpWriter) sum() uint64 { return w.h.Sum64() }
+// Float hashes f bit-exactly.
+func (d *Digest) Float(f float64) { d.Word(math.Float64bits(f)) }
+
+// Flag hashes b as the float 1 or 0.
+func (d *Digest) Flag(b bool) {
+	if b {
+		d.Float(1)
+	} else {
+		d.Float(0)
+	}
+}
+
+// Text hashes the bytes of s, with no terminator.
+func (d *Digest) Text(s string) {
+	h := d.h
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	d.h = h
+}
+
+// Sum returns the digest of everything hashed so far.
+func (d *Digest) Sum() uint64 { return d.h }
 
 // ResultFingerprint hashes every numeric series and counter of a Result
 // bit-exactly, including the robustness accounting and the final samples, so
@@ -34,127 +65,100 @@ func (w fpWriter) sum() uint64 { return w.h.Sum64() }
 // into every trace footer. Observability counters (Result.Obs) are gauges
 // about the run, not simulated physics, and are excluded.
 func ResultFingerprint(r *engine.Result) uint64 {
-	w := newFPWriter()
+	w := NewDigest()
 	for i := range r.ChipPowerW {
-		w.f(r.ChipPowerW[i])
-		w.f(r.BudgetW[i])
+		w.Float(r.ChipPowerW[i])
+		w.Float(r.BudgetW[i])
 		for c := range r.CorePowerW[i] {
-			w.f(r.CorePowerW[i][c])
-			w.f(r.CoreInstr[i][c])
+			w.Float(r.CorePowerW[i][c])
+			w.Float(r.CoreInstr[i][c])
 		}
 	}
 	for _, v := range r.Modes {
 		for _, m := range v {
-			w.f(float64(m))
+			w.Float(float64(m))
 		}
 	}
 	for _, tc := range r.MaxTempC {
-		w.f(tc)
+		w.Float(tc)
 	}
 	for c := range r.PerCoreInstr {
-		w.f(r.PerCoreInstr[c])
-		w.f(r.FinalSamples[c].PowerW)
-		w.f(r.FinalSamples[c].Instr)
-		if r.FinalSamples[c].Done {
-			w.f(1)
-		} else {
-			w.f(0)
-		}
+		w.Float(r.PerCoreInstr[c])
+		w.Float(r.FinalSamples[c].PowerW)
+		w.Float(r.FinalSamples[c].Instr)
+		w.Flag(r.FinalSamples[c].Done)
 	}
-	w.f(r.TotalInstr)
-	w.f(r.EnergyJ)
-	w.f(float64(r.Elapsed))
-	w.f(float64(r.TransitionStall))
-	w.f(float64(r.FirstCompleted))
-	w.f(float64(r.OvershootIntervals))
-	w.f(r.OvershootEnergyWs)
-	w.f(r.WorstOvershootWs)
-	w.f(float64(r.EmergencyEntries))
-	w.f(float64(r.EmergencyIntervals))
-	w.f(float64(r.RecoveryLatency))
-	w.f(float64(r.SanitizedSamples))
-	w.f(float64(r.RescaledIntervals))
+	w.Float(r.TotalInstr)
+	w.Float(r.EnergyJ)
+	w.Float(float64(r.Elapsed))
+	w.Float(float64(r.TransitionStall))
+	w.Float(float64(r.FirstCompleted))
+	w.Float(float64(r.OvershootIntervals))
+	w.Float(r.OvershootEnergyWs)
+	w.Float(r.WorstOvershootWs)
+	w.Float(float64(r.EmergencyEntries))
+	w.Float(float64(r.EmergencyIntervals))
+	w.Float(float64(r.RecoveryLatency))
+	w.Float(float64(r.SanitizedSamples))
+	w.Float(float64(r.RescaledIntervals))
 	for _, c := range r.DeadCores {
-		w.f(float64(c))
+		w.Float(float64(c))
 	}
-	return w.sum()
+	return w.Sum()
 }
 
-// traceHasher incrementally fingerprints the deterministic fields of a
-// record stream. Wall-clock latencies (stage DurNs, DecideNs) are excluded:
-// two runs of the same configuration must produce the same trace
-// fingerprint on any machine.
-type traceHasher struct{ w fpWriter }
-
-func newTraceHasher() traceHasher { return traceHasher{w: newFPWriter()} }
-
-func (t traceHasher) add(r *Record) {
-	w := t.w
-	w.f(float64(r.Interval))
-	w.f(float64(r.NowNs))
-	w.f(r.BudgetW)
-	w.f(r.ChipPowerW)
+// hashRecord folds the deterministic fields of one decision record into w.
+// Wall-clock latencies (stage DurNs, DecideNs) are excluded: two runs of the
+// same configuration must produce the same trace fingerprint on any
+// machine.
+func hashRecord(w *Digest, r *Record) {
+	w.Float(float64(r.Interval))
+	w.Float(float64(r.NowNs))
+	w.Float(r.BudgetW)
+	w.Float(r.ChipPowerW)
 	for c := range r.PowerW {
-		w.f(r.PowerW[c])
-		w.f(r.Instr[c])
+		w.Float(r.PowerW[c])
+		w.Float(r.Instr[c])
 	}
-	w.f(float64(len(r.TruePowerW)))
+	w.Float(float64(len(r.TruePowerW)))
 	for c := range r.TruePowerW {
-		w.f(r.TruePowerW[c])
-		w.f(r.TrueInstr[c])
+		w.Float(r.TruePowerW[c])
+		w.Float(r.TrueInstr[c])
 	}
 	for _, s := range r.Stages {
-		w.h.Write([]byte(s.Name))
-		w.f(s.BudgetW)
-		if s.Override {
-			w.f(1)
-		} else {
-			w.f(0)
-		}
+		w.Text(s.Name)
+		w.Float(s.BudgetW)
+		w.Flag(s.Override)
 	}
 	for _, m := range r.Vector {
-		w.f(float64(m))
+		w.Float(float64(m))
 	}
-	w.f(float64(len(r.Candidate)))
+	w.Float(float64(len(r.Candidate)))
 	for _, m := range r.Candidate {
-		w.f(float64(m))
+		w.Float(float64(m))
 	}
-	if r.Guard {
-		w.f(1)
-	} else {
-		w.f(0)
-	}
-	w.f(float64(r.StallNs))
+	w.Flag(r.Guard)
+	w.Float(float64(r.StallNs))
 	// The supervisor block is hashed only when the record is supervised, so
 	// pre-schema-2 traces and unsupervised runs keep their exact historical
 	// fingerprints. SupTimedOut is wall-clock dependent and excluded — a
 	// deadline race must not change the trace fingerprint.
 	if r.Sup {
-		w.f(1)
-		w.f(float64(r.SupRung))
-		if r.SupRejected {
-			w.f(1)
-		} else {
-			w.f(0)
-		}
-		if r.SupRepaired {
-			w.f(1)
-		} else {
-			w.f(0)
-		}
-		w.f(r.SupPredPowerW)
+		w.Float(1)
+		w.Float(float64(r.SupRung))
+		w.Flag(r.SupRejected)
+		w.Flag(r.SupRepaired)
+		w.Float(r.SupPredPowerW)
 	}
 }
-
-func (t traceHasher) sum() uint64 { return t.w.sum() }
 
 // TraceFingerprint hashes the deterministic fields of every decision record
 // in a parsed trace — identical to the trace_fingerprint the Writer stamps
 // into the footer while streaming.
 func TraceFingerprint(t *Trace) uint64 {
-	h := newTraceHasher()
+	h := NewDigest()
 	for i := range t.Records {
-		h.add(&t.Records[i])
+		hashRecord(&h, &t.Records[i])
 	}
-	return h.sum()
+	return h.Sum()
 }

@@ -180,11 +180,12 @@ func (f *frontier) build(in Instance, fast bool) {
 
 // bound returns a throughput upper bound for completions of a prefix that
 // has fixed cores 0..c-1 at (usedP, usedI), or -Inf when no completion can
-// fit the budget. The result is inflated by a tiny relative slack so float
-// associativity differences can never prune a genuinely optimal leaf.
-func (f *frontier) bound(in Instance, c int, usedP, usedI float64) float64 {
-	slack := in.BudgetW - usedP - f.sufP[c]
-	if slack < -in.budgetEps() {
+// fit budgetW (eps is the instance's budgetEps). The result is inflated by
+// a tiny relative slack so float associativity differences can never prune
+// a genuinely optimal leaf.
+func (f *frontier) bound(budgetW, eps float64, c int, usedP, usedI float64) float64 {
+	slack := budgetW - usedP - f.sufP[c]
+	if slack < -eps {
 		return math.Inf(-1)
 	}
 	if slack < 0 {
@@ -255,7 +256,8 @@ type bbScratch struct {
 // buffers); the returned vector then aliases it.
 func (b *BB) solveFrom(in Instance, cp *Checkpoint, f *frontier, gv modes.Vector, warmFloor float64, sc *bbScratch, start time.Time) (modes.Vector, Stats) {
 	st := Stats{Solver: b.Name(), Exact: true}
-	st.UpperBoundInstr = f.bound(in, 0, 0, 0)
+	eps := in.budgetEps()
+	st.UpperBoundInstr = f.bound(in.BudgetW, eps, 0, 0, 0)
 	gp := in.VectorPower(gv)
 	gt := in.VectorInstr(gv)
 	seedFeasible := gp <= in.BudgetW
@@ -267,7 +269,10 @@ func (b *BB) solveFrom(in Instance, cp *Checkpoint, f *frontier, gv modes.Vector
 		s = &bbState{}
 	}
 	v, best := s.v, s.best
-	*s = bbState{in: in, f: f, limit: b.NodeLimit, lexTies: b.LexTies, cp: cp, v: v, best: best}
+	*s = bbState{
+		power: in.Power, instr: in.Instr, budgetW: in.BudgetW, eps: eps, m: in.NumModes(),
+		f: f, limit: b.NodeLimit, lexTies: b.LexTies, cp: cp, v: v, best: best,
+	}
 	s.bestT, s.bestP = -1, 0
 	if seedFeasible {
 		s.floor = gt
@@ -292,8 +297,8 @@ func (b *BB) solveFrom(in Instance, cp *Checkpoint, f *frontier, gv modes.Vector
 	st.Nodes, st.Pruned = s.nodes, s.pruned
 	st.Exact = !s.aborted
 	// Report only this solve's own checkpoint trips. Reading the shared
-	// checkpoint's latched flag here would let a concurrent sibling (another
-	// cluster goroutine under Hier) that tripped the budget mark THIS
+	// checkpoint's latched flag here would let a sibling sharing it (an
+	// earlier cluster under Hier) that tripped the budget mark THIS
 	// completed exact solve as aborted — inconsistent stats
 	// (Exact && Aborted) and a lost memo entry.
 	st.Aborted = s.cpHit
@@ -307,12 +312,17 @@ func (b *BB) solveFrom(in Instance, cp *Checkpoint, f *frontier, gv modes.Vector
 	return s.best, st
 }
 
+// bbState is one DFS's state. It holds the instance's matrices, budget and
+// mode count rather than the Instance itself, so no node copies the
+// ~180-byte Instance.
 type bbState struct {
-	in      Instance
-	f       *frontier
-	limit   int64
-	lexTies bool
-	cp      *Checkpoint
+	power, instr [][]float64
+	budgetW, eps float64
+	m            int
+	f            *frontier
+	limit        int64
+	lexTies      bool
+	cp           *Checkpoint
 
 	v            modes.Vector
 	best         modes.Vector
@@ -350,13 +360,12 @@ func (s *bbState) rec(c int, usedP, usedI float64) {
 			}
 		}
 	}
-	in := s.in
-	if c == in.NumCores() {
-		p := in.VectorPower(s.v)
-		if p > in.BudgetW {
+	if c == len(s.power) {
+		p := sumAt(s.power, s.v)
+		if p > s.budgetW {
 			return
 		}
-		t := in.VectorInstr(s.v)
+		t := sumAt(s.instr, s.v)
 		if !s.have || better(t, p, s.bestT, s.bestP) {
 			s.have = true
 			if len(s.best) != len(s.v) {
@@ -370,7 +379,7 @@ func (s *bbState) rec(c int, usedP, usedI float64) {
 		}
 		return
 	}
-	ub := s.f.bound(in, c, usedP, usedI)
+	ub := s.f.bound(s.budgetW, s.eps, c, usedP, usedI)
 	if math.IsInf(ub, -1) {
 		s.pruned++
 		return
@@ -386,9 +395,10 @@ func (s *bbState) rec(c int, usedP, usedI float64) {
 		s.pruned++
 		return
 	}
-	for mo := 0; mo < in.NumModes(); mo++ {
+	power, instr := s.power[c], s.instr[c]
+	for mo := 0; mo < s.m; mo++ {
 		s.v[c] = modes.Mode(mo)
-		s.rec(c+1, usedP+in.Power[c][mo], usedI+in.Instr[c][mo])
+		s.rec(c+1, usedP+power[mo], usedI+instr[mo])
 	}
 	s.v[c] = 0
 }

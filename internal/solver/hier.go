@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"sync"
 	"time"
 
 	"gpm/internal/modes"
@@ -9,10 +8,11 @@ import (
 
 // Hier is the two-level manager that makes thousand-core chips tractable:
 // the chip budget is partitioned across fixed clusters of ClusterSize cores,
-// each cluster is solved independently (and concurrently) by the Inner
-// solver within its share, and the aggregate slack the clusters leave unused
-// — mode power is quantized, so shares are never spent exactly — is
-// re-offered to each cluster in turn for RebalancePasses rounds.
+// each cluster is solved independently by the Inner solver within its share
+// (one cluster after another, on the calling goroutine), and the aggregate
+// slack the clusters leave unused — mode power is quantized, so shares are
+// never spent exactly — is re-offered to each cluster in turn for
+// RebalancePasses rounds.
 //
 // Budget split rule: each cluster's share is its demand under the chip-wide
 // greedy allocation (the power the marginal-utility pass would spend inside
@@ -57,10 +57,10 @@ func (h *Hier) inner() Solver {
 
 // hierState is a Session's cross-interval Hier memory: the Alpha-smoothed
 // share grants, the previously returned vector (sliced into per-cluster warm
-// hints), one child Session per cluster (scratch + warm floors for the inner
-// solver), the heap-greedy scratch for the demand pass, and the output
-// buffers. It replaces the mutex-guarded shares that used to live inside
-// Hier itself, so the solver value is now immutable during Solve.
+// hints), one child Session per cluster (scratch, warm floors and frontier
+// reuse for the inner solver), the heap-greedy scratch for the demand pass,
+// and the output buffers. It replaces the mutex-guarded shares that used to
+// live inside Hier itself, so the solver value is now immutable during Solve.
 type hierState struct {
 	shares []float64 // previous grants, when Alpha > 0
 	prev   modes.Vector
@@ -69,7 +69,11 @@ type hierState struct {
 	out    modes.Vector
 	cur    []float64
 	used   []float64
-	nodes  []int64
+	// decision numbers the session's decisions; each child session's
+	// frontierKey is set to it, so a child reuses its BB frontier across the
+	// solves of one decision (same matrices, only the budget moves) and
+	// never across decisions.
+	decision uint64
 	// sharesStable reports that the last solve left the Alpha-smoothed share
 	// state bit-identical to its value at entry (trivially true when Alpha is
 	// 0 or a single cluster covers the chip). Together with a completed solve
@@ -79,7 +83,8 @@ type hierState struct {
 }
 
 // ensureInner sizes the per-cluster child sessions, closing any extras when
-// the cluster count shrinks.
+// the cluster count shrinks, and opens a new decision for their frontier
+// reuse.
 func (hs *hierState) ensureInner(h *Hier, nc int) {
 	for len(hs.inner) > nc {
 		hs.inner[len(hs.inner)-1].Close()
@@ -87,6 +92,10 @@ func (hs *hierState) ensureInner(h *Hier, nc int) {
 	}
 	for len(hs.inner) < nc {
 		hs.inner = append(hs.inner, NewSession(h.inner()))
+	}
+	hs.decision++
+	for _, c := range hs.inner {
+		c.frontierKey = hs.decision
 	}
 }
 
@@ -96,9 +105,9 @@ func (h *Hier) Solve(in Instance) (modes.Vector, Stats) {
 }
 
 // SolveBounded implements Bounded. The checkpoint is shared by the demand
-// pass, every concurrent cluster solve (when Inner is Bounded), and the
-// rebalance rounds; an exhausted checkpoint returns the best chip-feasible
-// vector assembled so far, falling back to the greedy demand vector.
+// pass, every cluster solve (when Inner is Bounded), and the rebalance
+// rounds; an exhausted checkpoint returns the best chip-feasible vector
+// assembled so far, falling back to the greedy demand vector.
 func (h *Hier) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	return h.solveWith(in, cp, nil, Hint{})
 }
@@ -127,7 +136,6 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 		return modes.Vector{}, st
 	}
 	k := h.clusterSize()
-	inner := h.inner()
 	if k >= n {
 		// One cluster: delegate whole. The child session gives the inner
 		// solver scratch reuse and the chip-level warm hint.
@@ -137,7 +145,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 			hs.ensureInner(h, 1)
 			v, ist = hs.inner[0].solveBounded(in, hint, cp)
 		} else {
-			v, ist = SolveBounded(inner, in, cp)
+			v, ist = SolveBounded(h.inner(), in, cp)
 		}
 		ist.Solver = st.Solver
 		ist.Elapsed = time.Since(start)
@@ -180,8 +188,8 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	if gaborted {
 		// No time for the two-level decomposition: the (possibly partial)
 		// greedy vector is feasible whenever anything is. Gate on the demand
-		// pass's own checkpoint trip, not the shared latched flag, which a
-		// concurrent sibling may have set without this pass being short.
+		// pass's own checkpoint trip, not the shared latched flag, which an
+		// external Abort may have set without this pass being short.
 		st.Aborted = true
 		st.Elapsed = time.Since(start)
 		return gv, st
@@ -222,52 +230,39 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 		}
 	}
 
-	// Local level: independent per-cluster solves, concurrently. With a
-	// session, each cluster has its own child session (sessions are not
-	// concurrency-safe, so they must not be shared across the goroutines)
-	// warmed by the matching slice of the previous chip vector.
+	// Local level: independent per-cluster solves, in cluster order on the
+	// calling goroutine. With a session, each cluster has its own child
+	// session warmed by the matching slice of the previous chip vector.
 	var out modes.Vector
 	var used []float64
-	var nodes []int64
+	var inner Solver
 	if hs != nil {
 		hs.out = resizeVector(hs.out, n)
 		hs.used = resizeFloats(hs.used, nc)
-		hs.nodes = resizeInt64s(hs.nodes, nc)
-		out, used, nodes = hs.out, hs.used, hs.nodes
+		out, used = hs.out, hs.used
+		hs.ensureInner(h, nc)
 	} else {
 		out = make(modes.Vector, n)
 		used = make([]float64, nc)
-		nodes = make([]int64, nc)
+		inner = h.inner()
 	}
 	solveCluster := func(i int, s Instance) (modes.Vector, Stats) {
-		if hs != nil {
-			ch := Hint{}
-			if len(hs.prev) == n {
-				ch = Hint{Vector: hs.prev[lo(i):hi(i)]}
-			}
-			return hs.inner[i].solveBounded(s, ch, cp)
+		if hs == nil {
+			return SolveBounded(inner, s, cp)
 		}
-		return SolveBounded(inner, s, cp)
+		var ch Hint
+		if len(hs.prev) == n {
+			ch.Vector = hs.prev[lo(i):hi(i)]
+		}
+		return hs.inner[i].solveBounded(s, ch, cp)
 	}
-	if hs != nil {
-		hs.ensureInner(h, nc)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < nc; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := sub(i, shares[i])
-			v, ist := solveCluster(i, s)
-			copy(out[lo(i):hi(i)], v)
-			used[i] = s.VectorPower(v)
-			nodes[i] = ist.Nodes
-		}(i)
-	}
-	wg.Wait()
 	var spent float64
 	for i := 0; i < nc; i++ {
-		st.Nodes += nodes[i]
+		s := sub(i, shares[i])
+		v, ist := solveCluster(i, s)
+		st.Nodes += ist.Nodes
+		copy(out[lo(i):hi(i)], v)
+		used[i] = s.VectorPower(v)
 		spent += used[i]
 	}
 

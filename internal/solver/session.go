@@ -112,6 +112,12 @@ type Session struct {
 	gs   greedyScratch
 	bb   bbScratch
 	hier *hierState
+	// frontierKey, when non-zero, is set by a parent Hier to its decision
+	// number: every solve under one key carries bit-identical matrices (a
+	// cluster's initial solve and its rebalance rounds differ only in
+	// budget), so the BB frontier, which depends on the matrices alone, is
+	// built once per key. frontierBuilt is the key of the current frontier.
+	frontierKey, frontierBuilt uint64
 
 	stats  SessionStats
 	closed bool
@@ -319,7 +325,10 @@ func (s *Session) solveBB(b *BB, in Instance, h Hint, warm bool, cp *Checkpoint)
 	if in.NumCores() == 0 || !finiteInstance(in) {
 		return b.SolveBounded(in, cp)
 	}
-	s.bb.frontier.build(in, true)
+	if s.frontierKey == 0 || s.frontierKey != s.frontierBuilt {
+		s.bb.frontier.build(in, true)
+		s.frontierBuilt = s.frontierKey
+	}
 	gv, _, _ := heapGreedy(in, cp, &s.gs)
 	warmFloor := math.Inf(-1)
 	if warm {
@@ -871,17 +880,6 @@ func heapGreedy(in Instance, cp *Checkpoint, g *greedyScratch) (_ modes.Vector, 
 func resizeFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeInt64s(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
 	}
 	s = s[:n]
 	for i := range s {

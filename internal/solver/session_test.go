@@ -40,7 +40,9 @@ func driftInstance(rng *rand.Rand, in Instance) Instance {
 // interval's vector as a hint must return the bit-identical vector of a cold
 // solve of the same solver on the same instance — for every solver the
 // registry can build, including the LexTies BB whose tie representative is
-// the most fragile property a warm floor could disturb.
+// the most fragile property a warm floor could disturb. The wide hier case
+// (32 clusters of 8) drives the child sessions' frontier reuse across each
+// decision's initial and rebalance solves.
 func TestWarmVsColdBitIdentical(t *testing.T) {
 	type cfg struct {
 		name string
@@ -51,10 +53,11 @@ func TestWarmVsColdBitIdentical(t *testing.T) {
 		{"bb", func() Solver { return &BB{} }, 12},
 		{"bb-lexties", func() Solver { return &BB{LexTies: true} }, 10},
 		{"hier", func() Solver { return &Hier{ClusterSize: 4} }, 12},
+		{"hier-wide", func() Solver { return &Hier{ClusterSize: 8} }, 256},
 		{"greedy", func() Solver { return Greedy{} }, 16},
 		{"exhaustive", func() Solver { return Exhaustive{} }, 7},
 	}
-	const seeds = 4 // × 5 solvers = 20 drift sequences
+	const seeds = 4 // × 6 configs = 24 drift sequences
 	const steps = 12
 	for _, c := range cfgs {
 		for seed := int64(0); seed < seeds; seed++ {
@@ -213,6 +216,25 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("warm BB drift steady state allocates %.1f/op, want 0", allocs)
+		}
+	})
+	t.Run("hier-drift", func(t *testing.T) {
+		seq := benchDrift(randInstance(15, 64, plan, 0.8), 2)
+		ses := NewSession(&Hier{ClusterSize: 8})
+		defer ses.Close()
+		hint := Hint{Vector: make(modes.Vector, 64)}
+		for _, in := range seq {
+			v, _ := ses.Solve(in, hint)
+			copy(hint.Vector, v)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			i++
+			v, _ := ses.Solve(seq[i%len(seq)], hint)
+			copy(hint.Vector, v)
+		})
+		if allocs != 0 {
+			t.Fatalf("warm hier drift steady state allocates %.1f/op, want 0", allocs)
 		}
 	})
 	t.Run("memo-hit", func(t *testing.T) {

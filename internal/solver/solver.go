@@ -73,21 +73,19 @@ func (in Instance) NumModes() int { return in.Plan.NumModes() }
 // VectorPower sums predicted power in core order. All solvers score
 // candidate vectors with these canonical-order sums so float associativity
 // cannot make two solvers disagree about the same vector.
-func (in Instance) VectorPower(v modes.Vector) float64 {
-	var p float64
-	for c, m := range v {
-		p += in.Power[c][m]
-	}
-	return p
-}
+func (in Instance) VectorPower(v modes.Vector) float64 { return sumAt(in.Power, v) }
 
 // VectorInstr sums predicted instructions in core order.
-func (in Instance) VectorInstr(v modes.Vector) float64 {
-	var t float64
+func (in Instance) VectorInstr(v modes.Vector) float64 { return sumAt(in.Instr, v) }
+
+// sumAt is the canonical core-order sum of rows[c][v[c]] behind VectorPower
+// and VectorInstr; BB's leaves call it on the rows directly.
+func sumAt(rows [][]float64, v modes.Vector) float64 {
+	var s float64
 	for c, m := range v {
-		t += in.Instr[c][m]
+		s += rows[c][m]
 	}
-	return t
+	return s
 }
 
 // deepest returns the all-deepest vector, the shared infeasibility fallback

@@ -144,17 +144,16 @@ func warmCode(h *cache.Hierarchy, base uint64, size, block int) {
 	}
 }
 
-// phaseAt maps a program position (instructions, within one schedule period)
-// to a phase index.
-func (pr *Profile) phaseAt(posInPeriod float64) int {
-	var acc float64
+// phaseEnd maps a program position (instructions, within one schedule
+// period) to a phase index and the position where that phase ends.
+func (pr *Profile) phaseEnd(posInPeriod float64) (ph int, end float64) {
 	for i, l := range pr.PhaseInstr {
-		acc += l
-		if posInPeriod < acc {
-			return i
+		end += l
+		if posInPeriod < end {
+			return i, end
 		}
 	}
-	return len(pr.PhaseInstr) - 1
+	return len(pr.PhaseInstr) - 1, end
 }
 
 // WholeProgram returns the average power and the execution time of one full
@@ -193,6 +192,11 @@ type Player struct {
 	pr  *Profile
 	pos float64 // program position in instructions
 	end bool
+	// chunk1 is one more than the jitter chunk whose factors rj/pj hold (0:
+	// none yet). Jitter hashes the benchmark name, and a player takes many
+	// steps and Behavior reads within one chunk.
+	chunk1 uint64
+	rj, pj float64
 }
 
 // NewPlayer returns a player positioned at the start of the program.
@@ -210,20 +214,34 @@ func (p *Player) Position() float64 { return p.pos }
 // Completed reports whether the program has reached its TotalInstructions.
 func (p *Player) Completed() bool { return p.end }
 
+// periodPos returns the position within the current schedule period.
+func (p *Player) periodPos() float64 {
+	period := p.pr.PeriodInstr
+	return p.pos - float64(uint64(p.pos/period))*period
+}
+
+// chunkJitter returns the jitter factors of the given chunk, hashing only
+// when the chunk differs from the cached one.
+func (p *Player) chunkJitter(chunk uint64) (rate, pw float64) {
+	if p.chunk1 != chunk+1 {
+		p.rj, p.pj = p.pr.jitter(chunk)
+		p.chunk1 = chunk + 1
+	}
+	return p.rj, p.pj
+}
+
 // Phase returns the index of the phase at the current position.
 func (p *Player) Phase() int {
-	period := p.pr.PeriodInstr
-	pos := p.pos - float64(uint64(p.pos/period))*period
-	return p.pr.phaseAt(pos)
+	ph, _ := p.pr.phaseEnd(p.periodPos())
+	return ph
 }
 
 // Behavior returns the (jittered) instantaneous power and rate at the
 // current position under mode m.
 func (p *Player) Behavior(m modes.Mode) (powerW, ratePerSec float64) {
-	period := p.pr.PeriodInstr
-	pos := p.pos - float64(uint64(p.pos/period))*period
-	b := p.pr.Behavior[m][p.pr.phaseAt(pos)]
-	rj, pj := p.pr.jitter(uint64(p.pos / jitterChunk))
+	ph, _ := p.pr.phaseEnd(p.periodPos())
+	b := &p.pr.Behavior[m][ph]
+	rj, pj := p.chunkJitter(uint64(p.pos / jitterChunk))
 	return b.PowerW * pj, b.RatePerSec * rj
 }
 
@@ -235,25 +253,23 @@ func (p *Player) Advance(m modes.Mode, seconds float64) (energyJ, instr float64)
 	if !p.pr.Plan.Valid(m) {
 		panic(fmt.Sprintf("trace: invalid mode %d", m))
 	}
+	behavior := p.pr.Behavior[m]
+	total := float64(p.pr.Spec.TotalInstructions)
 	remaining := seconds
 	for remaining > 1e-15 && !p.end {
-		period := p.pr.PeriodInstr
-		posInPeriod := p.pos - float64(uint64(p.pos/period))*period
-		ph := p.pr.phaseAt(posInPeriod)
-		b := p.pr.Behavior[m][ph]
-		rj, pj := p.pr.jitter(uint64(p.pos / jitterChunk))
+		posInPeriod := p.periodPos()
+		ph, phaseEnd := p.pr.phaseEnd(posInPeriod)
+		b := &behavior[ph]
+		chunk := uint64(p.pos / jitterChunk)
+		rj, pj := p.chunkJitter(chunk)
 		rate := b.RatePerSec * rj
 		pw := b.PowerW * pj
 
 		// Distance to the nearest behaviour boundary: phase edge, jitter
 		// chunk edge, or program completion.
-		var acc float64
-		for i := 0; i <= ph; i++ {
-			acc += p.pr.PhaseInstr[i]
-		}
-		toPhase := acc - posInPeriod
-		toChunk := (float64(uint64(p.pos/jitterChunk))+1)*jitterChunk - p.pos
-		toEnd := float64(p.pr.Spec.TotalInstructions) - p.pos
+		toPhase := phaseEnd - posInPeriod
+		toChunk := (float64(chunk)+1)*jitterChunk - p.pos
+		toEnd := total - p.pos
 		dist := toPhase
 		if toChunk < dist {
 			dist = toChunk
@@ -275,7 +291,7 @@ func (p *Player) Advance(m modes.Mode, seconds float64) (energyJ, instr float64)
 		instr += rate * dt
 		p.pos += rate * dt
 		remaining -= dt
-		if p.pos >= float64(p.pr.Spec.TotalInstructions) {
+		if p.pos >= total {
 			p.end = true
 		}
 	}
