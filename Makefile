@@ -39,7 +39,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolver$$|BenchmarkSolverWarm|BenchmarkSolverDelta|BenchmarkHier1024|BenchmarkDeadlineSolver' -benchmem ./internal/solver \
 		| $(GO) run ./cmd/benchjson > BENCH_solver.json
 	@echo wrote BENCH_solver.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine$$' -benchmem ./internal/engine \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEngine$$' -benchmem ./internal/engine ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDecision(MaxBIPS|Greedy)$$' -benchmem . ) \
 		| $(GO) run ./cmd/benchjson > BENCH_engine.json
 	@echo wrote BENCH_engine.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineBare|BenchmarkEngineObserved' -benchmem ./internal/engine \
@@ -79,6 +80,14 @@ bench-check:
 			-ratio 'hier-drift/cores=1024<=7*greedy-drift/cores=1024'
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine$$/warm' -benchtime 3x -benchmem ./internal/engine \
 		| $(GO) run ./cmd/benchjson -check BENCH_engine.json -slack 1.15
+	# The exact 8-core MaxBIPS decision (branch-and-bound) must cost at most
+	# 1.2× the 64-core greedy decision measured in the same run, and keep its
+	# baseline allocation. Enumerating all 3^8 vectors ran at 1.9–3.0× the
+	# greedy decision in 11 runs, branch-and-bound at 0.5–0.9× in 15 (2-vCPU
+	# host), so a revert to enumeration fails on any host.
+	$(GO) test -run '^$$' -bench 'BenchmarkDecision(MaxBIPS|Greedy)$$' -benchtime 20000x -benchmem . \
+		| $(GO) run ./cmd/benchjson -check BENCH_engine.json -match 'BenchmarkDecision' \
+			-ratio 'BenchmarkDecisionMaxBIPS<=1.2*BenchmarkDecisionGreedy'
 	$(GO) test -run '^$$' -bench 'BenchmarkHistoryPredictor/warm' -benchtime 100x -benchmem ./internal/core \
 		| $(GO) run ./cmd/benchjson -check BENCH_calib.json
 	# Delta-decision latency gates: the generation memo hit must stay under

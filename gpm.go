@@ -92,8 +92,9 @@ func FixedModes(v ModeVector) Policy { return core.Fixed{Vector: v} }
 
 // Solver is a budgeted mode-allocation solver (internal/solver): it picks the
 // throughput-maximizing feasible mode vector for one decision instance.
-// Exhaustive is MaxBIPS's own kernel; the others scale the MaxBIPS objective
-// past its ~16-core limit.
+// Exhaustive is the enumeration that defines MaxBIPS's decision (the MaxBIPS
+// policy returns its vector, by exact branch-and-bound where that provably
+// agrees); the others scale the MaxBIPS objective past its ~16-core limit.
 type Solver = solver.Solver
 
 // SolverStats is the per-decision certificate a Solver returns alongside its
@@ -105,7 +106,7 @@ type SolverStats = solver.Stats
 type SolverOptions = solver.Options
 
 // SolverByName resolves an allocation solver by one of SolverNames():
-// exhaustive (MaxBIPS's enumeration), bb (exact branch-and-bound; µs–ms at
+// exhaustive (the enumeration defining MaxBIPS), bb (exact branch-and-bound; µs–ms at
 // 64+ cores), hier (two-level clustered; scales to 1024 cores), or greedy.
 func SolverByName(name string, opt SolverOptions) (Solver, error) { return solver.New(name, opt) }
 

@@ -8,13 +8,15 @@ import (
 	"gpm/internal/solver"
 )
 
-// MaxBIPS is §5.2.3: exhaustively evaluate every mode combination with the
-// predicted Power/BIPS Matrices and pick the highest-throughput combination
-// that satisfies the budget. Ties break toward lower power, then toward the
-// lexicographically smallest vector (fastest low-index cores), making the
-// policy fully deterministic. It returns the all-deepest vector when no
-// combination fits. The enumeration is solver.Exhaustive, the one kernel
-// Oracle, StableMaxBIPS and MinPower's fallback share.
+// MaxBIPS is §5.2.3: of every mode combination, pick the highest-throughput
+// one under the predicted Power/BIPS Matrices that satisfies the budget.
+// Ties break toward lower power, then toward the lexicographically smallest
+// vector (fastest low-index cores), making the policy fully deterministic.
+// It returns the all-deepest vector when no combination fits. The decision
+// is solver.MaxBIPS, which Oracle, StableMaxBIPS and MinPower's fallback
+// share: exact branch-and-bound on finite, non-negative predictions past
+// 81 mode vectors, the enumeration (solver.Exhaustive) otherwise, with
+// bit-identical answers.
 type MaxBIPS struct{}
 
 // Name implements Policy.
@@ -25,9 +27,9 @@ func (MaxBIPS) Decide(ctx Context) modes.Vector {
 	return maxThroughput(ctx.Plan, ctx.BudgetW, ctx.Matrices)
 }
 
-// maxThroughput runs the exhaustive kernel over one matrix pair.
+// maxThroughput is the MaxBIPS decision over one matrix pair.
 func maxThroughput(plan modes.Plan, budgetW float64, mx Matrices) modes.Vector {
-	v, _ := solver.Exhaustive{}.Solve(mx.instance(plan, budgetW))
+	v, _ := solver.MaxBIPS(mx.instance(plan, budgetW))
 	return v
 }
 
@@ -192,8 +194,9 @@ func (ChipWideDVFS) Decide(ctx Context) modes.Vector {
 
 // Oracle is §5.6: instead of predicted matrices it builds its Power/BIPS
 // matrices from the actual future behaviour of the next explore interval
-// (ctx.Lookahead) and exhaustively picks the best fitting combination — the
-// conservative upper bound the paper compares MaxBIPS against.
+// (ctx.Lookahead) and picks the best fitting combination by the MaxBIPS
+// decision — the conservative upper bound the paper compares MaxBIPS
+// against.
 type Oracle struct{}
 
 // Name implements Policy.
@@ -207,10 +210,12 @@ func (o Oracle) Decide(ctx Context) modes.Vector {
 	}
 	n := ctx.NumCores()
 	nm := ctx.Plan.NumModes()
+	// Rows are laid over two flat backings: four allocations per decision.
+	flatP, flatI := make([]float64, n*nm), make([]float64, n*nm)
 	mx := Matrices{Power: make([][]float64, n), Instr: make([][]float64, n)}
 	for c := 0; c < n; c++ {
-		mx.Power[c] = make([]float64, nm)
-		mx.Instr[c] = make([]float64, nm)
+		mx.Power[c] = flatP[c*nm : (c+1)*nm]
+		mx.Instr[c] = flatI[c*nm : (c+1)*nm]
 		if c < len(ctx.Samples) && ctx.Samples[c].Done {
 			continue
 		}

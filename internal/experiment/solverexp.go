@@ -188,7 +188,8 @@ func (e *Env) SolverScaling(widths []int, budgetFrac float64, opts SolverScaling
 }
 
 // SolverCompareDecisions runs one 8-core combo through the CMP simulator
-// twice — once under the paper's exhaustive MaxBIPS, once under the
+// twice — once under the paper's exhaustive MaxBIPS (the enumeration itself,
+// not core.MaxBIPS, which answers by branch-and-bound), once under the
 // branch-and-bound solver in lex-tie mode — and reports whether every
 // explore-interval decision was bit-identical. It is the subsystem's
 // end-to-end equivalence check.
@@ -201,7 +202,7 @@ func (e *Env) SolverCompareDecisions(comboIdx int, budgetFrac float64) (identica
 		return false, 0, fmt.Errorf("experiment: combo index %d out of range", comboIdx)
 	}
 	combo := combos[comboIdx]
-	resA, _, err := e.RunPolicy(combo, core.MaxBIPS{}, budgetFrac)
+	resA, _, err := e.RunPolicy(combo, core.SolverPolicy{Solver: solver.Exhaustive{}}, budgetFrac)
 	if err != nil {
 		return false, 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"gpm/internal/modes"
@@ -61,30 +62,24 @@ type segment struct {
 	dP, dI float64
 	ratio  float64
 	// seq is the pre-sort emission index; the fast sort uses it as the final
-	// tiebreak so its order equals the cold path's stable sort exactly.
+	// tiebreak so its order equals the stable sort's exactly.
 	seq int32
 }
 
 type hullPt struct{ p, i float64 }
 
-// buildFrontier computes per-core efficient frontiers (upper-left convex
-// hulls of the (power, instr) mode points) and the suffix aggregates the
-// bound needs.
-func buildFrontier(in Instance) *frontier {
-	f := &frontier{}
-	f.build(in, false)
-	return f
-}
-
-// build fills f in place, reusing its buffers. fast selects the
-// allocation-free sorts of the session path: insertion sort for the per-core
-// mode points and slices.SortFunc (with the seq tiebreak) for the global
-// segment order. Both produce exactly the cold path's order on finite
-// instances: point ties are value-identical duplicates, and the segment
-// comparator extended by seq is a total order whose restriction to
-// (ratio, core) matches sort.SliceStable's stable tie handling. Non-finite
-// entries (NaN keys) are only handled by the cold sorts, so sessions gate
-// the fast path on finiteInstance.
+// build computes per-core efficient frontiers (upper-left convex hulls of
+// the (power, instr) mode points) and the suffix aggregates the bound
+// needs, filling f in place and reusing its buffers. fast selects the
+// allocation-free sorts: insertion sort for the per-core mode points and
+// slices.SortFunc (with the seq tiebreak) for the global segment order. Both
+// produce exactly the stable sorts' order on finite instances: point ties
+// are value-identical duplicates, and the segment comparator extended by seq
+// is a total order whose restriction to (ratio, core) matches
+// sort.SliceStable's stable tie handling (pinned by
+// TestFrontierFastSortsBitIdentical). Non-finite entries (NaN keys) are only
+// handled by the stable sorts, so every caller gates the fast path on
+// finiteInstance.
 func (f *frontier) build(in Instance, fast bool) {
 	n, m := in.NumCores(), in.NumModes()
 	f.baseP = resizeFloats(f.baseP, n)
@@ -215,25 +210,87 @@ func (b *BB) Solve(in Instance) (modes.Vector, Stats) {
 // SolveBounded implements Bounded. Branch nodes are charged to the
 // checkpoint in cpBatch batches; an exhausted checkpoint stops the DFS at
 // its incumbent, exactly like an exceeded NodeLimit.
+//
+// The solve borrows its frontier, greedy seed and DFS state from the
+// coldScratch free list, and builds the frontier with the fast sorts on
+// finite instances (order-identical there), so a finite solve's one
+// allocation is the returned copy.
 func (b *BB) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
-	if in.NumCores() == 0 {
+	n := in.NumCores()
+	if n == 0 {
 		return modes.Vector{}, Stats{Solver: b.Name(), Exact: true, Elapsed: time.Since(start)}
 	}
-	f := buildFrontier(in)
+	cs := takeColdBB()
+	cs.frontier.build(in, finiteInstance(in))
 	// Greedy incumbent seed. In LexTies mode the seed only tightens the
 	// pruning floor — the incumbent vector must be discovered by the lex
 	// DFS itself, or a greedy optimum could shadow a lex-smaller tie.
-	gv, _, _ := greedySolve(in, cp)
-	return b.solveFrom(in, cp, f, gv, math.Inf(-1), nil, start)
+	gv, _, _ := greedySolve(in, cp, cs.seed)
+	// Entries are shared by solves of every width: size the incumbent so
+	// the DFS overwrites it in place.
+	cs.state.best = resizeVector(cs.state.best, n)
+	v, st := b.solveFrom(in, cp, &cs.bbScratch, gv, math.Inf(-1), start)
+	// v may alias the seed or incumbent buffer: copy it out, and drop the
+	// references to the caller's matrices and checkpoint before giving the
+	// entry back.
+	v = v.Clone()
+	cs.seed = gv
+	cs.state = bbState{v: cs.state.v, best: cs.state.best}
+	giveColdBB(cs)
+	return v, st
 }
 
-// bbScratch is a Session's reusable BB machinery: the frontier (with its
-// sort scratch) and the DFS state, so warm solves allocate nothing in
-// steady state.
+// bbScratch is BB's reusable machinery, owned by a Session or borrowed by
+// a cold solve: the frontier (with its sort scratch) and the DFS state, so
+// solves allocate nothing in steady state.
 type bbScratch struct {
 	frontier frontier
 	state    bbState
+}
+
+// coldBB is a cold solve's borrowed machinery: BB's scratch plus the buffer
+// the greedy seed is built in.
+type coldBB struct {
+	bbScratch
+	seed modes.Vector
+}
+
+// coldScratch is the free list cold BB solves borrow their machinery from.
+// takeColdBB hands one goroutine exclusive use of an entry until its
+// giveColdBB, so concurrent cold solves (sweep workers sharing one policy
+// value) never share a buffer. It is a mutex-guarded list rather than a
+// sync.Pool because a sync.Pool drops items at random under the race
+// detector, which makes the allocation counts of runs through core.MaxBIPS
+// differ from run to run under -race; the engine's allocation tests
+// compare exactly those counts.
+var coldScratch struct {
+	sync.Mutex
+	free []*coldBB
+}
+
+// maxColdScratch bounds the memory the free list keeps. It needs one entry
+// per goroutine solving at once; entries beyond the bound go to the garbage
+// collector.
+const maxColdScratch = 64
+
+func takeColdBB() *coldBB {
+	coldScratch.Lock()
+	defer coldScratch.Unlock()
+	if k := len(coldScratch.free); k > 0 {
+		cs := coldScratch.free[k-1]
+		coldScratch.free = coldScratch.free[:k-1]
+		return cs
+	}
+	return new(coldBB)
+}
+
+func giveColdBB(cs *coldBB) {
+	coldScratch.Lock()
+	defer coldScratch.Unlock()
+	if len(coldScratch.free) < maxColdScratch {
+		coldScratch.free = append(coldScratch.free, cs)
+	}
 }
 
 // solveFrom runs the branch-and-bound DFS over a prebuilt frontier with a
@@ -252,9 +309,10 @@ type bbScratch struct {
 //   - visit order is fixed by the DFS and leaves score with the same
 //     canonical sums, so the incumbent replacement chain ends identically.
 //
-// sc, when non-nil, supplies reusable DFS state (vector and incumbent
-// buffers); the returned vector then aliases it.
-func (b *BB) solveFrom(in Instance, cp *Checkpoint, f *frontier, gv modes.Vector, warmFloor float64, sc *bbScratch, start time.Time) (modes.Vector, Stats) {
+// sc supplies the built frontier and reusable DFS state (vector and
+// incumbent buffers); the returned vector may alias sc or gv.
+func (b *BB) solveFrom(in Instance, cp *Checkpoint, sc *bbScratch, gv modes.Vector, warmFloor float64, start time.Time) (modes.Vector, Stats) {
+	f := &sc.frontier
 	st := Stats{Solver: b.Name(), Exact: true}
 	eps := in.budgetEps()
 	st.UpperBoundInstr = f.bound(in.BudgetW, eps, 0, 0, 0)
@@ -262,12 +320,7 @@ func (b *BB) solveFrom(in Instance, cp *Checkpoint, f *frontier, gv modes.Vector
 	gt := in.VectorInstr(gv)
 	seedFeasible := gp <= in.BudgetW
 
-	var s *bbState
-	if sc != nil {
-		s = &sc.state
-	} else {
-		s = &bbState{}
-	}
+	s := &sc.state
 	v, best := s.v, s.best
 	*s = bbState{
 		power: in.Power, instr: in.Instr, budgetW: in.BudgetW, eps: eps, m: in.NumModes(),

@@ -182,7 +182,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	if hs != nil && finiteInstance(in) {
 		gv, gnodes, gaborted = heapGreedy(in, cp, &hs.gs)
 	} else {
-		gv, gnodes, gaborted = greedySolve(in, cp)
+		gv, gnodes, gaborted = greedySolve(in, cp, nil)
 	}
 	st.Nodes += gnodes
 	if gaborted {

@@ -337,7 +337,7 @@ func (s *Session) solveBB(b *BB, in Instance, h Hint, warm bool, cp *Checkpoint)
 			s.stats.WarmFloored++
 		}
 	}
-	return b.solveFrom(in, cp, &s.bb.frontier, gv, warmFloor, &s.bb, start)
+	return b.solveFrom(in, cp, &s.bb, gv, warmFloor, start)
 }
 
 // solveGreedy swaps the O(n²·m) scan for the O(n·m·log n) heap kernel.

@@ -122,7 +122,7 @@ func TestHeapGreedyMatchesScan(t *testing.T) {
 		in := randInstance(seed, n, plan3(), 0.4+0.05*float64(seed%10))
 		var g greedyScratch
 		hv, _, _ := heapGreedy(in, nil, &g)
-		sv, _, _ := greedySolve(in, nil)
+		sv, _, _ := greedySolve(in, nil, nil)
 		if !sv.Equal(hv) {
 			t.Fatalf("seed %d: heap %v != scan %v", seed, hv, sv)
 		}
@@ -140,7 +140,7 @@ func TestHeapGreedyMatchesScan(t *testing.T) {
 		}
 		var g greedyScratch
 		hv, _, _ := heapGreedy(in, nil, &g)
-		sv, _, _ := greedySolve(in, nil)
+		sv, _, _ := greedySolve(in, nil, nil)
 		if !sv.Equal(hv) {
 			t.Fatalf("adversarial trial %d: heap %v != scan %v", trial, hv, sv)
 		}

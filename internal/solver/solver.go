@@ -3,13 +3,16 @@
 // Matrices and a chip budget, pick the per-core mode vector that maximizes
 // predicted throughput without exceeding the budget.
 //
-// The paper's MaxBIPS policy (§5.2.3) enumerates all modes^cores vectors,
-// which is exact but explodes past ~16 cores. This package factors the
-// decision out of internal/core into pluggable solvers behind one interface,
-// all proven against the exhaustive kernel:
+// The paper's MaxBIPS policy (§5.2.3) is defined by enumerating all
+// modes^cores vectors, which is exact but explodes past ~16 cores. This
+// package factors the decision out of internal/core into pluggable solvers
+// behind one interface, all proven against the exhaustive kernel:
 //
-//   - Exhaustive: the brute-force enumeration itself — the one kernel behind
-//     core's MaxBIPS, Oracle and StableMaxBIPS policies.
+//   - Exhaustive: the brute-force enumeration itself — the reference that
+//     defines the MaxBIPS decision. MaxBIPS, the entry point behind core's
+//     MaxBIPS, Oracle and StableMaxBIPS policies, returns its vector: by
+//     LexTies BB wherever that is provably the same answer and faster, by
+//     Exhaustive otherwise.
 //   - BB: exact branch-and-bound seeded with the greedy incumbent and pruned
 //     by a fractional (convex-hull water-filling) relaxation upper bound —
 //     exact answers at 64+ cores in microseconds to milliseconds.
@@ -226,7 +229,7 @@ func (g Greedy) Solve(in Instance) (modes.Vector, Stats) {
 // SolveBounded implements Bounded.
 func (g Greedy) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
-	v, nodes, aborted := greedySolve(in, cp)
+	v, nodes, aborted := greedySolve(in, cp, nil)
 	st := Stats{Solver: g.Name(), Nodes: nodes, Elapsed: time.Since(start)}
 	st.Aborted = aborted
 	return v, st
@@ -258,10 +261,15 @@ func upgradeDelta(power, instr []float64, cur modes.Mode) (dp, ratio float64) {
 // feasible by construction (upgrades are only applied when they fit). The
 // aborted result reports this solve's own checkpoint trips — not the shared
 // checkpoint's latched flag, which another goroutine may have set after this
-// solve already completed.
-func greedySolve(in Instance, cp *Checkpoint) (v modes.Vector, nodes int64, aborted bool) {
+// solve already completed. The vector is built in buf when it has the
+// capacity (nil allocates a fresh one).
+func greedySolve(in Instance, cp *Checkpoint, buf modes.Vector) (v modes.Vector, nodes int64, aborted bool) {
 	n := in.NumCores()
-	v = in.deepestVector()
+	v = resizeVector(buf, n)
+	deep := modes.Mode(in.NumModes() - 1)
+	for c := range v {
+		v[c] = deep
+	}
 	power := in.VectorPower(v)
 	if power > in.BudgetW {
 		return v, nodes, false // even the floor exceeds the budget

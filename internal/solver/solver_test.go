@@ -123,26 +123,55 @@ func TestExhaustiveIntractableFallsBackToGreedy(t *testing.T) {
 	if st.Exact {
 		t.Fatal("64-core exhaustive should not claim exactness")
 	}
-	gv, _, _ := greedySolve(in, nil)
+	gv, _, _ := greedySolve(in, nil, nil)
 	if !v.Equal(gv) {
 		t.Fatal("intractable fallback should be the greedy vector")
 	}
 }
 
+// TestBBLexTiesBitIdenticalToExhaustive is the exactness behind MaxBIPS's
+// BB path: on finite instances with non-negative throughput, LexTies BB must
+// return the reference kernel's vector. Besides random instances it covers
+// finished cores (all-zero throughput rows, idle or zero power) and budgets
+// set exactly to some vector's canonical power, where the leaf test
+// p > budget decides.
 func TestBBLexTiesBitIdenticalToExhaustive(t *testing.T) {
 	plans := []modes.Plan{plan3(), modes.Linear(5, 0.70, 1.300, 0.010)}
+	widths := [][]int{{1, 2, 4, 7, 8, 9}, {1, 2, 4, 7}} // 5^8 vectors per reference solve is too slow
 	for pi, plan := range plans {
-		for seed := int64(0); seed < 12; seed++ {
-			for _, frac := range []float64{0.5, 0.65, 0.8, 0.95} {
-				in := randInstance(seed*7+int64(pi), 7, plan, frac)
-				want := referenceSolve(in)
-				bb := &BB{LexTies: true}
-				got, st := bb.Solve(in)
-				if !got.Equal(want) {
-					t.Fatalf("plan=%d seed=%d frac=%.2f: bb %v != exhaustive %v", pi, seed, frac, got, want)
-				}
-				if !st.Exact {
-					t.Fatal("bb not exact")
+		for _, n := range widths[pi] {
+			for seed := int64(0); seed < 12; seed++ {
+				rng := rand.New(rand.NewSource(seed*31 + int64(n)))
+				for _, frac := range []float64{0.5, 0.65, 0.8, 0.95} {
+					in := randInstance(seed*7+int64(pi)+int64(100*n), n, plan, frac)
+					name := "random"
+					switch seed % 4 {
+					case 1: // finished cores predict zero throughput
+						name = "zero-instr"
+						for c := 0; c < n; c += 2 {
+							for m := range in.Instr[c] {
+								in.Instr[c][m] = 0
+								if seed%8 == 1 {
+									in.Power[c][m] = 0
+								}
+							}
+						}
+					case 2: // budget exactly at a random vector's power
+						name = "exact-budget"
+						u := make(modes.Vector, n)
+						for c := range u {
+							u[c] = modes.Mode(rng.Intn(in.NumModes()))
+						}
+						in.BudgetW = in.VectorPower(u)
+					}
+					want := referenceSolve(in)
+					got, st := (&BB{LexTies: true}).Solve(in)
+					if !got.Equal(want) {
+						t.Fatalf("plan=%d n=%d seed=%d frac=%.2f %s: bb %v != exhaustive %v", pi, n, seed, frac, name, got, want)
+					}
+					if !st.Exact {
+						t.Fatal("bb not exact")
+					}
 				}
 			}
 		}
@@ -177,7 +206,7 @@ func TestBBNodeLimitReturnsFeasibleIncumbent(t *testing.T) {
 	if p := in.VectorPower(v); p > in.BudgetW {
 		t.Fatalf("node-limited bb returned infeasible vector: %g > %g", p, in.BudgetW)
 	}
-	gv, _, _ := greedySolve(in, nil)
+	gv, _, _ := greedySolve(in, nil, nil)
 	if in.VectorInstr(v) < in.VectorInstr(gv) {
 		t.Fatal("node-limited bb fell below its greedy seed")
 	}
