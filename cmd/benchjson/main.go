@@ -5,8 +5,11 @@
 //
 // Each object carries the benchmark name, GOMAXPROCS suffix, iteration count,
 // and every reported metric keyed by its unit (ns/op, B/op, allocs/op, and
-// any b.ReportMetric custom units such as nodes/op). Non-benchmark lines are
-// ignored, so the full `go test` output can be piped through unfiltered.
+// any b.ReportMetric custom units such as nodes/op), and the host it was
+// measured on: the `cpu:` line go test prints before a package's rows and
+// the Go version benchjson runs under (the toolchain `go run` and `go test`
+// share). Other non-benchmark lines are ignored, so the full `go test`
+// output can be piped through unfiltered.
 //
 // With -check baseline.json, benchjson instead compares the fresh results
 // against a committed baseline and exits non-zero on allocation regressions:
@@ -14,7 +17,9 @@
 // steady-state session rows) must not report more allocs/op than the
 // baseline row times the -slack factor. A 0-alloc baseline therefore admits
 // zero fresh allocations — the steady-state contract `make bench-check`
-// enforces in CI.
+// enforces in CI. It prints the baseline rows' host beside the current one
+// ("unrecorded" for rows stamped before hosts were), so a latency gate read
+// across two machines says so.
 //
 // Three further gates ride along with -check, all off by default:
 //
@@ -33,8 +38,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -45,6 +52,11 @@ type Result struct {
 	Procs      int                `json:"procs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	// CPU and Go name the host the row was measured on: go test's `cpu:`
+	// line and the Go version. Rows recorded before hosts were stamped
+	// have neither.
+	CPU string `json:"cpu,omitempty"`
+	Go  string `json:"go,omitempty"`
 }
 
 func main() {
@@ -57,20 +69,10 @@ func main() {
 	ratio := flag.String("ratio", "", `"A<=F*B" gate: fresh row A's ns/op must be at most F times fresh row B's`)
 	flag.Parse()
 
-	var results []Result
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		if r, ok := parseLine(sc.Text()); ok {
-			results = append(results, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	results, err := parse(os.Stdin, runtime.Version())
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
-	}
-	if results == nil {
-		results = []Result{}
 	}
 	if *check != "" {
 		if err := checkBaseline(results, *check, *match, *slack, *nsMatch, *nsSlack); err != nil {
@@ -93,6 +95,51 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// parse reads go test output and returns its benchmark rows, each stamped
+// with the most recent `cpu:` line and the Go version goVersion.
+func parse(in io.Reader, goVersion string) ([]Result, error) {
+	results := []Result{}
+	var cpu string
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		if c, ok := strings.CutPrefix(line, "cpu:"); ok {
+			cpu = strings.TrimSpace(c)
+			continue
+		}
+		if r, ok := parseLine(line); ok {
+			r.CPU, r.Go = cpu, goVersion
+			results = append(results, r)
+		}
+	}
+	return results, sc.Err()
+}
+
+// host names the machine a row was measured on, or "unrecorded". go test
+// leaves the -N suffix off rows run at GOMAXPROCS 1, so Procs 0 reads as 1.
+func host(r Result) string {
+	if r.CPU == "" && r.Go == "" {
+		return "unrecorded"
+	}
+	return fmt.Sprintf("%s, %s, GOMAXPROCS %d", r.CPU, r.Go, max(r.Procs, 1))
+}
+
+// hostLines describes, once per distinct pair, the baseline host beside the
+// current host of compared rows (each pair is {fresh, baseline}).
+func hostLines(pairs [][2]Result) []string {
+	var lines []string
+	seen := map[string]bool{}
+	for _, p := range pairs {
+		l := fmt.Sprintf("host: baseline %s; now %s", host(p[1]), host(p[0]))
+		if !seen[l] {
+			seen[l] = true
+			lines = append(lines, l)
+		}
+	}
+	return lines
 }
 
 // checkBaseline fails when a fresh row matching the selector reports more
@@ -125,6 +172,12 @@ func checkBaseline(fresh []Result, path, match string, slack float64, nsMatch st
 		baseline[r.Name] = r
 	}
 	compared, nsCompared, failed := 0, 0, 0
+	var pairs [][2]Result
+	defer func() {
+		for _, l := range hostLines(pairs) {
+			fmt.Fprintf(os.Stderr, "benchjson: %s\n", l)
+		}
+	}()
 	for _, r := range fresh {
 		allocRow := sel.MatchString(r.Name)
 		nsRow := nsSel != nil && nsSel.MatchString(r.Name)
@@ -136,6 +189,7 @@ func checkBaseline(fresh []Result, path, match string, slack float64, nsMatch st
 			fmt.Fprintf(os.Stderr, "benchjson: %s: no baseline row, skipping\n", r.Name)
 			continue
 		}
+		pairs = append(pairs, [2]Result{r, b})
 		if allocRow {
 			got, gok := r.Metrics["allocs/op"]
 			want, wok := b.Metrics["allocs/op"]

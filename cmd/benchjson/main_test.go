@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +34,47 @@ func TestParseLine(t *testing.T) {
 		if _, ok := parseLine(bad); ok {
 			t.Fatalf("line %q should not parse", bad)
 		}
+	}
+}
+
+// TestParseHost pins the host stamp: each row carries the cpu line printed
+// before its package's rows and the given Go version, and -check describes
+// the baseline's host beside the current one, "unrecorded" for rows stamped
+// before hosts were.
+func TestParseHost(t *testing.T) {
+	out := `goos: linux
+goarch: amd64
+pkg: gpm/internal/engine
+cpu: Host A
+BenchmarkEngine/warm-bb/cores=16-2   	      3	    956934 ns/op	     2585 allocs/op
+PASS
+pkg: gpm
+cpu: Host B
+BenchmarkDecisionMaxBIPS-2   	  20000	     18748 ns/op	        1 allocs/op
+`
+	rows, err := parse(strings.NewReader(out), "go1.24.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("parsed %d rows, want 2", len(rows))
+	}
+	for i, want := range []string{"Host A", "Host B"} {
+		if rows[i].CPU != want || rows[i].Go != "go1.24.0" {
+			t.Fatalf("row %d stamped %q %q, want %q go1.24.0", i, rows[i].CPU, rows[i].Go, want)
+		}
+	}
+	old := Result{Name: rows[0].Name, Procs: 2, Metrics: rows[0].Metrics}
+	single := rows[1]
+	single.Procs = 0 // go test prints no -N suffix at GOMAXPROCS 1
+	lines := hostLines([][2]Result{{rows[0], old}, {rows[0], old}, {rows[1], rows[1]}, {single, rows[1]}})
+	want := []string{
+		"host: baseline unrecorded; now Host A, go1.24.0, GOMAXPROCS 2",
+		"host: baseline Host B, go1.24.0, GOMAXPROCS 2; now Host B, go1.24.0, GOMAXPROCS 2",
+		"host: baseline Host B, go1.24.0, GOMAXPROCS 2; now Host B, go1.24.0, GOMAXPROCS 1",
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("host lines:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -23,7 +23,7 @@ func TestEnergyConservation(t *testing.T) {
 	for i, chip := range res.ChipPowerW {
 		integral += chip * dt
 		var rowSum float64
-		for _, p := range res.CorePowerW[i] {
+		for _, p := range res.CorePowerW.Row(i) {
 			rowSum += p
 		}
 		if math.Abs(rowSum-chip) > 1e-9 {
@@ -36,8 +36,8 @@ func TestEnergyConservation(t *testing.T) {
 	// Instruction accounting: series, per-core totals, and TotalInstr agree.
 	var seriesInstr float64
 	perCore := make([]float64, 4)
-	for i := range res.CoreInstr {
-		for c, in := range res.CoreInstr[i] {
+	for i := 0; i < res.CoreInstr.Len(); i++ {
+		for c, in := range res.CoreInstr.Row(i) {
 			seriesInstr += in
 			perCore[c] += in
 		}

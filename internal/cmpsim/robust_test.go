@@ -61,7 +61,7 @@ func TestTruncatedIntervalAveraging(t *testing.T) {
 	for c := range res.FinalSamples {
 		var want float64
 		for i := per; i < per+frac; i++ {
-			want += res.CorePowerW[i][c]
+			want += res.CorePowerW.At(i, c)
 		}
 		want /= float64(frac)
 		if got := res.FinalSamples[c].PowerW; math.Abs(got-want) > 1e-12 {
@@ -239,9 +239,9 @@ func TestCoreDeathParksAndRedistributes(t *testing.T) {
 	}
 	// The dead core draws nothing after its death.
 	onset := int(dieAt / res.DeltaSim)
-	for i := onset; i < len(res.CorePowerW); i++ {
-		if res.CorePowerW[i][2] != 0 {
-			t.Fatalf("dead core drew %.3f W at interval %d", res.CorePowerW[i][2], i)
+	for i := onset; i < res.CorePowerW.Len(); i++ {
+		if res.CorePowerW.At(i, 2) != 0 {
+			t.Fatalf("dead core drew %.3f W at interval %d", res.CorePowerW.At(i, 2), i)
 		}
 	}
 	// Once parked, the dead core is pinned at the deepest mode.
@@ -255,8 +255,8 @@ func TestCoreDeathParksAndRedistributes(t *testing.T) {
 	if avg := res.AvgChipPowerW(); avg > budget*1.02 {
 		t.Errorf("average power %.1f W over budget %.1f W after core death", avg, budget)
 	}
-	for i := onset + 100; i < len(res.CoreInstr); i += 50 {
-		if res.CoreInstr[i][0] == 0 && res.CoreInstr[i][1] == 0 && res.CoreInstr[i][3] == 0 {
+	for i := onset + 100; i < res.CoreInstr.Len(); i += 50 {
+		if res.CoreInstr.At(i, 0) == 0 && res.CoreInstr.At(i, 1) == 0 && res.CoreInstr.At(i, 3) == 0 {
 			t.Errorf("all survivors idle at interval %d", i)
 		}
 	}

@@ -230,7 +230,8 @@ func (p Predictor) MatricesInto(mx *Matrices, current modes.Vector, samples []Sa
 // Context is everything a policy may consult for one decision.
 type Context struct {
 	Plan modes.Plan
-	// Current is the mode vector in force during the sampled interval.
+	// Current is the mode vector in force during the sampled interval. It
+	// is the manager's own vector: policies must not mutate it.
 	Current modes.Vector
 	// BudgetW is the chip power budget for the next interval in watts.
 	BudgetW float64
@@ -256,13 +257,50 @@ type Context struct {
 	// instance; a hint can therefore accelerate a decision but never change
 	// its result.
 	Hint modes.Vector
+	// Scratch, when non-nil, is working memory the Manager lends the policy
+	// for this decision. The built-in policies build their answer in it, so
+	// a steady-state decision allocates nothing; a Context built without it
+	// makes them allocate their answer instead.
+	Scratch *Scratch
+}
+
+// Scratch is the working memory a Manager owns and lends its policy through
+// Context.Scratch: the vector a policy builds its answer in, and the
+// matrices Oracle fills from the lookahead. An answer built in it stays
+// valid until the manager's next decision.
+type Scratch struct {
+	out    modes.Vector
+	oracle Matrices
 }
 
 // NumCores returns the width of the decision.
 func (ctx Context) NumCores() int { return len(ctx.Current) }
 
+// out returns an n-mode vector for the policy's answer: the scratch vector
+// when ctx carries scratch, a fresh one otherwise. Its contents are stale.
+func (ctx Context) out(n int) modes.Vector {
+	sc := ctx.Scratch
+	if sc == nil {
+		return make(modes.Vector, n)
+	}
+	if cap(sc.out) < n {
+		sc.out = make(modes.Vector, n)
+	}
+	return sc.out[:n]
+}
+
+// fill sets every core of v to mode m and returns v.
+func fill(v modes.Vector, m modes.Mode) modes.Vector {
+	for c := range v {
+		v[c] = m
+	}
+	return v
+}
+
 // Policy selects the next mode vector. Implementations must be
-// deterministic and must not retain ctx.
+// deterministic, must not retain ctx and must not mutate ctx.Current. The
+// returned vector may be built in ctx.Scratch: the manager copies it before
+// its next decision.
 type Policy interface {
 	Name() string
 	Decide(ctx Context) modes.Vector
@@ -275,6 +313,11 @@ type Manager struct {
 	policy    Policy
 	predictor MatrixPredictor
 	current   modes.Vector
+	// next is the buffer the next decision is sanitized into; it swaps
+	// with current once the decision is adopted.
+	next modes.Vector
+	// scratch is the working memory lent to the policy (Context.Scratch).
+	scratch Scratch
 	// lastCandidate is the policy's raw output from the most recent Step,
 	// before sanitize (observability only; nil until the first decision and
 	// while an outer guard bypasses the policy).
@@ -301,26 +344,29 @@ func NewManagerWith(plan modes.Plan, policy Policy, pred MatrixPredictor, n int)
 		policy:    policy,
 		predictor: pred,
 		current:   modes.Uniform(n, modes.Turbo),
+		next:      make(modes.Vector, n),
 	}
 }
 
-// Current returns the mode vector currently in force.
+// Current returns a copy of the mode vector currently in force.
 func (g *Manager) Current() modes.Vector { return g.current.Clone() }
 
-// SetCurrent overrides the mode vector (used when resuming or testing).
-func (g *Manager) SetCurrent(v modes.Vector) { g.current = v.Clone() }
+// SetCurrent overrides the mode vector (used when resuming or testing). It
+// copies v into the manager's own vector.
+func (g *Manager) SetCurrent(v modes.Vector) { g.current = append(g.current[:0], v...) }
 
 // Policy returns the active policy.
 func (g *Manager) Policy() Policy { return g.policy }
 
 // Step performs one explore-time decision: build matrices from samples,
 // consult the policy, sanitize and adopt the result. lookahead and memBound
-// may be nil.
+// may be nil. The returned vector is the manager's own: it is valid until
+// the next decision and callers must not mutate it.
 func (g *Manager) Step(budgetW float64, samples []Sample, lookahead func(int, modes.Mode) (float64, float64), memBound []float64) modes.Vector {
 	g.predictor.MatricesInto(&g.mx, g.current, samples)
 	ctx := Context{
 		Plan:           g.plan,
-		Current:        g.current.Clone(),
+		Current:        g.current,
 		BudgetW:        budgetW,
 		Samples:        samples,
 		Matrices:       g.mx,
@@ -328,26 +374,32 @@ func (g *Manager) Step(budgetW float64, samples []Sample, lookahead func(int, mo
 		MemBound:       memBound,
 		ExploreSeconds: g.predictor.Explore(),
 		Hint:           g.hint,
+		Scratch:        &g.scratch,
 	}
 	g.hint = nil
 	next := g.policy.Decide(ctx)
 	g.lastCandidate = next
-	next = g.sanitize(next, samples)
-	g.current = next
-	return next.Clone()
+	g.next = g.sanitize(g.next, next, samples)
+	g.current, g.next = g.next, g.current
+	return g.current
 }
 
 // LastCandidate returns the policy's raw vector from the most recent Step,
 // before sanitization — nil before the first decision or while a guard's
 // emergency throttle bypassed the policy. The returned slice is the policy's
-// own buffer; callers must not mutate it.
+// answer, often built in the manager's scratch: it is valid until the next
+// decision, and callers must not mutate it.
 func (g *Manager) LastCandidate() modes.Vector { return g.lastCandidate }
 
 // sanitize clamps a policy result to a legal vector and parks finished cores
-// in the deepest mode.
-func (g *Manager) sanitize(v modes.Vector, samples []Sample) modes.Vector {
+// in the deepest mode, writing it into out (grown when shorter than the
+// chip).
+func (g *Manager) sanitize(out, v modes.Vector, samples []Sample) modes.Vector {
 	n := len(g.current)
-	out := make(modes.Vector, n)
+	if cap(out) < n {
+		out = make(modes.Vector, n)
+	}
+	out = out[:n]
 	deepest := modes.Mode(g.plan.NumModes() - 1)
 	for i := 0; i < n; i++ {
 		m := modes.Turbo

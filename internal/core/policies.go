@@ -24,12 +24,12 @@ func (MaxBIPS) Name() string { return "MaxBIPS" }
 
 // Decide implements Policy.
 func (MaxBIPS) Decide(ctx Context) modes.Vector {
-	return maxThroughput(ctx.Plan, ctx.BudgetW, ctx.Matrices)
+	return maxThroughput(ctx.out(ctx.NumCores()), ctx.Plan, ctx.BudgetW, ctx.Matrices)
 }
 
-// maxThroughput is the MaxBIPS decision over one matrix pair.
-func maxThroughput(plan modes.Plan, budgetW float64, mx Matrices) modes.Vector {
-	v, _ := solver.MaxBIPS(mx.instance(plan, budgetW))
+// maxThroughput is the MaxBIPS decision over one matrix pair, built in dst.
+func maxThroughput(dst modes.Vector, plan modes.Plan, budgetW float64, mx Matrices) modes.Vector {
+	v, _ := solver.MaxBIPS(dst, mx.instance(plan, budgetW))
 	return v
 }
 
@@ -56,8 +56,7 @@ func (GreedyMaxBIPS) Name() string { return "GreedyMaxBIPS" }
 
 // Decide implements Policy.
 func (GreedyMaxBIPS) Decide(ctx Context) modes.Vector {
-	v, _ := solver.Greedy{}.Solve(ctx.Matrices.instance(ctx.Plan, ctx.BudgetW))
-	return v
+	return solver.GreedyInto(ctx.out(ctx.NumCores()), ctx.Matrices.instance(ctx.Plan, ctx.BudgetW))
 }
 
 // Priority is §5.2.1: core n-1 has the highest priority, core 0 the lowest.
@@ -76,7 +75,7 @@ func (Priority) Name() string { return "Priority" }
 func (Priority) Decide(ctx Context) modes.Vector {
 	n := ctx.NumCores()
 	deepest := modes.Mode(ctx.Plan.NumModes() - 1)
-	v := modes.Uniform(n, deepest)
+	v := fill(ctx.out(n), deepest)
 	mx := ctx.Matrices
 	for c := n - 1; c >= 0; c-- {
 		for m := modes.Mode(0); m < deepest; m++ {
@@ -88,7 +87,7 @@ func (Priority) Decide(ctx Context) modes.Vector {
 		}
 	}
 	if mx.VectorPower(v) > ctx.BudgetW {
-		return modes.Uniform(n, deepest)
+		return fill(v, deepest)
 	}
 	return v
 }
@@ -107,7 +106,8 @@ func (PullHiPushLo) Name() string { return "PullHiPushLo" }
 func (PullHiPushLo) Decide(ctx Context) modes.Vector {
 	n := ctx.NumCores()
 	deepest := modes.Mode(ctx.Plan.NumModes() - 1)
-	v := ctx.Current.Clone()
+	v := ctx.out(n)
+	copy(v, ctx.Current)
 	mx := ctx.Matrices
 	memBound := func(c int) float64 {
 		if c < len(ctx.MemBound) {
@@ -136,7 +136,7 @@ func (PullHiPushLo) Decide(ctx Context) modes.Vector {
 			}
 		}
 		if pick < 0 {
-			return modes.Uniform(n, deepest)
+			return fill(v, deepest)
 		}
 		v[pick]++
 	}
@@ -181,15 +181,14 @@ func (ChipWideDVFS) Name() string { return "ChipWideDVFS" }
 
 // Decide implements Policy.
 func (ChipWideDVFS) Decide(ctx Context) modes.Vector {
-	n := ctx.NumCores()
 	deepest := modes.Mode(ctx.Plan.NumModes() - 1)
+	v := ctx.out(ctx.NumCores())
 	for m := modes.Mode(0); m <= deepest; m++ {
-		v := modes.Uniform(n, m)
-		if ctx.Matrices.VectorPower(v) <= ctx.BudgetW {
+		if ctx.Matrices.VectorPower(fill(v, m)) <= ctx.BudgetW {
 			return v
 		}
 	}
-	return modes.Uniform(n, deepest)
+	return fill(v, deepest)
 }
 
 // Oracle is §5.6: instead of predicted matrices it builds its Power/BIPS
@@ -210,13 +209,11 @@ func (o Oracle) Decide(ctx Context) modes.Vector {
 	}
 	n := ctx.NumCores()
 	nm := ctx.Plan.NumModes()
-	// Rows are laid over two flat backings: four allocations per decision.
-	flatP, flatI := make([]float64, n*nm), make([]float64, n*nm)
-	mx := Matrices{Power: make([][]float64, n), Instr: make([][]float64, n)}
+	mx := ctx.oracleMatrices(n, nm)
 	for c := 0; c < n; c++ {
-		mx.Power[c] = flatP[c*nm : (c+1)*nm]
-		mx.Instr[c] = flatI[c*nm : (c+1)*nm]
 		if c < len(ctx.Samples) && ctx.Samples[c].Done {
+			clear(mx.Power[c])
+			clear(mx.Instr[c])
 			continue
 		}
 		for m := 0; m < nm; m++ {
@@ -231,7 +228,30 @@ func (o Oracle) Decide(ctx Context) modes.Vector {
 			mx.Instr[c][m] = in
 		}
 	}
-	return maxThroughput(ctx.Plan, ctx.BudgetW, mx)
+	return maxThroughput(ctx.out(n), ctx.Plan, ctx.BudgetW, mx)
+}
+
+// oracleMatrices returns n×nm matrices for Oracle to fill: the scratch's,
+// laid out once per shape, when ctx carries scratch, fresh ones otherwise.
+// Their contents are stale.
+func (ctx Context) oracleMatrices(n, nm int) Matrices {
+	var mx Matrices
+	if ctx.Scratch != nil {
+		mx = ctx.Scratch.oracle
+	}
+	if len(mx.Power) != n || len(mx.flatP) != n*nm {
+		// Rows are laid over one flat backing per matrix.
+		mx.flatP, mx.flatI = make([]float64, n*nm), make([]float64, n*nm)
+		mx.Power, mx.Instr = make([][]float64, n), make([][]float64, n)
+		for c := 0; c < n; c++ {
+			mx.Power[c] = mx.flatP[c*nm : (c+1)*nm]
+			mx.Instr[c] = mx.flatI[c*nm : (c+1)*nm]
+		}
+		if ctx.Scratch != nil {
+			ctx.Scratch.oracle = mx
+		}
+	}
+	return mx
 }
 
 // Fixed always returns the same vector; the optimistic-static lower bound of
@@ -245,12 +265,9 @@ func (f Fixed) Name() string { return fmt.Sprintf("Fixed%s", f.Vector) }
 
 // Decide implements Policy.
 func (f Fixed) Decide(ctx Context) modes.Vector {
-	v := f.Vector.Clone()
-	deepest := modes.Mode(ctx.Plan.NumModes() - 1)
-	for len(v) < ctx.NumCores() {
-		v = append(v, deepest)
-	}
-	return v[:ctx.NumCores()]
+	v := fill(ctx.out(ctx.NumCores()), modes.Mode(ctx.Plan.NumModes()-1))
+	copy(v, f.Vector)
+	return v
 }
 
 // MinPower solves the dual problem the paper names in §1 ("minimizing the
@@ -287,7 +304,10 @@ func (p MinPower) Decide(ctx Context) modes.Vector {
 			return true
 		}
 		if best == nil || pw < bestPower || (pw == bestPower && t > bestInstr) {
-			best = v.Clone()
+			if best == nil {
+				best = ctx.out(n)
+			}
+			copy(best, v)
 			bestPower = pw
 			bestInstr = t
 		}
@@ -295,7 +315,7 @@ func (p MinPower) Decide(ctx Context) modes.Vector {
 	})
 	if best == nil {
 		// Infeasible floor: fall back to the best throughput under budget.
-		return maxThroughput(ctx.Plan, ctx.BudgetW, mx)
+		return maxThroughput(ctx.out(n), ctx.Plan, ctx.BudgetW, mx)
 	}
 	return best
 }

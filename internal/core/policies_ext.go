@@ -31,7 +31,7 @@ func (p StableMaxBIPS) Decide(ctx Context) modes.Vector {
 	if th == 0 {
 		th = 0.01
 	}
-	best := maxThroughput(ctx.Plan, ctx.BudgetW, ctx.Matrices)
+	best := maxThroughput(ctx.out(ctx.NumCores()), ctx.Plan, ctx.BudgetW, ctx.Matrices)
 	curPower := ctx.Matrices.VectorPower(ctx.Current)
 	if curPower > ctx.BudgetW {
 		return best // must move: the present assignment violates the budget
@@ -40,7 +40,8 @@ func (p StableMaxBIPS) Decide(ctx Context) modes.Vector {
 	if bestInstr := ctx.Matrices.VectorInstr(best); bestInstr > curInstr*(1+th) {
 		return best
 	}
-	return ctx.Current.Clone()
+	copy(best, ctx.Current) // stay: the answer is the present assignment
+	return best
 }
 
 // Fairness maximizes the harmonic mean of predicted per-core speedups
@@ -57,7 +58,7 @@ func (Fairness) Decide(ctx Context) modes.Vector {
 	n := ctx.NumCores()
 	mx := ctx.Matrices
 	deepest := modes.Mode(ctx.Plan.NumModes() - 1)
-	best := modes.Uniform(n, deepest)
+	best := fill(ctx.out(n), deepest)
 	bestScore := -1.0
 	bestPower := 0.0
 	EnumerateVectors(ctx.Plan.NumModes(), n, func(v modes.Vector) bool {
@@ -88,7 +89,7 @@ func (Fairness) Decide(ctx Context) modes.Vector {
 		if score > bestScore || (score == bestScore && p < bestPower) {
 			bestScore = score
 			bestPower = p
-			best = v.Clone()
+			copy(best, v)
 		}
 		return true
 	})

@@ -162,6 +162,12 @@ type ResilientManager struct {
 	zeroRun  []int
 	dead     []bool
 
+	// clean is the buffer sanitize repairs the observations into, and
+	// deepest the emergency throttle's vector; both are reused every
+	// decision.
+	clean   []Sample
+	deepest modes.Vector
+
 	overRun      int
 	emergency    bool
 	recoverRun   int
@@ -189,6 +195,7 @@ func NewResilientManagerWith(plan modes.Plan, policy Policy, pred MatrixPredicto
 		hasEWMA:  make([]bool, n),
 		zeroRun:  make([]int, n),
 		dead:     make([]bool, n),
+		deepest:  modes.Uniform(n, modes.Mode(plan.NumModes()-1)),
 	}
 }
 
@@ -222,9 +229,11 @@ func (r *ResilientManager) Policy() Policy { return r.inner.Policy() }
 // Step performs one guarded explore-time decision. chipPowerW is the
 // chip-level power measurement for the previous interval (the VRM-side
 // sensor, independent of the per-core sensors); samples are the possibly
-// corrupted per-core observations.
+// corrupted per-core observations. Like Manager.Step, it returns a vector
+// the manager owns, valid until the next decision.
 func (r *ResilientManager) Step(budgetW, chipPowerW float64, samples []Sample, lookahead func(int, modes.Mode) (float64, float64), memBound []float64) modes.Vector {
-	clean := r.sanitize(samples)
+	r.clean = r.sanitize(r.clean, samples)
+	clean := r.clean
 
 	// Fall back to the per-core sum if the chip sensor itself reads junk.
 	if math.IsNaN(chipPowerW) || math.IsInf(chipPowerW, 0) || chipPowerW < 0 {
@@ -238,10 +247,12 @@ func (r *ResilientManager) Step(budgetW, chipPowerW float64, samples []Sample, l
 	if r.updateGuard(budgetW, chipPowerW) {
 		// Emergency: force the deepest vector and keep the inner manager's
 		// notion of the current vector consistent for the next prediction.
-		deepest := modes.Uniform(len(clean), modes.Mode(r.plan.NumModes()-1))
-		r.inner.SetCurrent(deepest)
+		if len(r.deepest) != len(clean) {
+			r.deepest = modes.Uniform(len(clean), modes.Mode(r.plan.NumModes()-1))
+		}
+		r.inner.SetCurrent(r.deepest)
 		r.inner.lastCandidate = nil // the policy did not run
-		return deepest
+		return r.deepest
 	}
 	return r.inner.Step(budgetW, clean, lookahead, memBound)
 }
@@ -250,10 +261,14 @@ func (r *ResilientManager) Step(budgetW, chipPowerW float64, samples []Sample, l
 // decision, or nil while the emergency throttle bypassed the policy.
 func (r *ResilientManager) LastCandidate() modes.Vector { return r.inner.LastCandidate() }
 
-// sanitize repairs the per-core observations and advances the dead-core
-// detector. It never mutates its input.
-func (r *ResilientManager) sanitize(samples []Sample) []Sample {
-	out := make([]Sample, len(samples))
+// sanitize repairs the per-core observations into out (grown when shorter
+// than samples) and advances the dead-core detector. It never mutates its
+// input.
+func (r *ResilientManager) sanitize(out, samples []Sample) []Sample {
+	if cap(out) < len(samples) {
+		out = make([]Sample, len(samples))
+	}
+	out = out[:len(samples)]
 	copy(out, samples)
 	cfg := r.cfg
 	for c := range out {

@@ -63,6 +63,12 @@ type Substrate interface {
 
 // Decider is one global power manager: plain (*core.Manager) or guarded
 // (*core.ResilientManager), both satisfy it via core.Decision.
+//
+// Vector ownership: the vector StepDecision returns belongs to the decider
+// and stays valid until its next StepDecision. The loop copies it before
+// then and never mutates it, so a decider may return a buffer it reuses
+// every decision. Likewise d.Hint and d.Samples belong to the loop: a
+// decider must not mutate them or keep them past the call.
 type Decider interface {
 	// StepDecision performs one explore-boundary decision and returns the
 	// next mode vector.
@@ -169,8 +175,9 @@ type Loop struct {
 
 	dt          DecisionTrace // reused across intervals when observed
 	stageTraces []StageTrace
+	st          Step // the decision's middleware state, reused so it never escapes
 
-	current      modes.Vector
+	current      modes.Vector // loop-owned copy of the vector in force
 	samples      []core.Sample
 	chipMeasured float64 // the independent chip-level (VRM) power sensor
 	lookahead    func(c int, m modes.Mode) (powerW, instr float64)
@@ -181,6 +188,12 @@ type Loop struct {
 	intervalPower []float64
 	intervalInstr []float64
 	stallPower    []float64
+
+	// est is the horizon's delta count (capped): the size the per-delta
+	// series, MaxTempC and the Modes backing get when first used. modesBuf
+	// is the unused tail of the backing that Result.Modes' vectors view.
+	est      int
+	modesBuf modes.Vector
 
 	now         time.Duration
 	done        bool
@@ -259,15 +272,17 @@ func New(sub Substrate, opt Options) (*Loop, error) {
 	}
 	// Pre-size the delta-resolution series so steady-state intervals append
 	// without reallocating (capped so pathological horizons don't reserve
-	// unbounded memory up front).
-	est := int(opt.Horizon / opt.DeltaSim)
+	// unbounded memory up front). The per-core series, MaxTempC and the
+	// Modes backing are sized to the same estimate at first use instead:
+	// a loop built long before it runs (the fleet builds every chip's loop
+	// up front) holds no per-core storage until it steps.
+	est := int((opt.Horizon + opt.DeltaSim - 1) / opt.DeltaSim)
 	if est > 4096 {
 		est = 4096
 	}
+	l.est = est
 	res.ChipPowerW = make([]float64, 0, est)
 	res.BudgetW = make([]float64, 0, est)
-	res.CorePowerW = make([][]float64, 0, est)
-	res.CoreInstr = make([][]float64, 0, est)
 	res.Modes = make([]modes.Vector, 0, est/opt.DeltasPerExplore+1)
 	l.res = res
 
@@ -337,7 +352,8 @@ func (l *Loop) Result() *Result { return l.res }
 // decision, arming the interval's stall accounting.
 func (l *Loop) decide() error {
 	res, obs, n := l.res, l.obs, l.n
-	st := Step{Now: l.now, TrueSamples: l.samples, Samples: l.samples, ChipPowerW: l.chipMeasured}
+	l.st = Step{Now: l.now, TrueSamples: l.samples, Samples: l.samples, ChipPowerW: l.chipMeasured}
+	st := &l.st
 	if obs != nil {
 		l.stageTraces = l.stageTraces[:0]
 	}
@@ -348,7 +364,7 @@ func (l *Loop) decide() error {
 		if obs != nil {
 			t0 = time.Now()
 		}
-		if err := stage.Apply(&st); err != nil {
+		if err := stage.Apply(st); err != nil {
 			return err
 		}
 		// The first stage seeds the budget; later stages that move it,
@@ -520,8 +536,10 @@ func (l *Loop) decide() error {
 		res.Obs.TraceRecords++
 	}
 	res.Obs.Decisions++
-	l.current = next
-	res.Modes = append(res.Modes, l.current.Clone())
+	// next belongs to the decider and is valid only until its next
+	// decision: adopt a copy.
+	copy(l.current, next)
+	l.recordModes()
 	res.TransitionStall += stall
 
 	l.stallLeft = stall.Seconds()
@@ -533,13 +551,27 @@ func (l *Loop) decide() error {
 	return nil
 }
 
+// recordModes appends the vector in force to Result.Modes as a capped view
+// into the loop's mode backing, allocating a backing for the rest of the
+// estimated decisions whenever the current one is used up.
+func (l *Loop) recordModes() {
+	n := l.n
+	if len(l.modesBuf) < n {
+		l.modesBuf = make(modes.Vector, n*max(cap(l.res.Modes)-len(l.res.Modes), 1))
+	}
+	v := l.modesBuf[:n:n]
+	l.modesBuf = l.modesBuf[n:]
+	copy(v, l.current)
+	l.res.Modes = append(l.res.Modes, v)
+}
+
 // delta advances the substrate by one delta-sim interval in the current
 // vector, charging any remaining synchronized stall first.
 func (l *Loop) delta() {
 	res, n, deltaSec := l.res, l.n, l.deltaSC
 	l.simmed++
-	rowP := make([]float64, n)
-	rowI := make([]float64, n)
+	rowP := res.CorePowerW.appendRow(n, l.est)
+	rowI := res.CoreInstr.appendRow(n, l.est)
 	var chip float64
 	stl := l.stallLeft
 	if stl > deltaSec {
@@ -574,10 +606,11 @@ func (l *Loop) delta() {
 	}
 	if l.opt.Thermal != nil {
 		l.opt.Thermal.State().Step(rowP, l.opt.DeltaSim)
+		if res.MaxTempC == nil {
+			res.MaxTempC = make([]float64, 0, max(l.est, 1))
+		}
 		res.MaxTempC = append(res.MaxTempC, l.opt.Thermal.State().MaxTemp())
 	}
-	res.CorePowerW = append(res.CorePowerW, rowP)
-	res.CoreInstr = append(res.CoreInstr, rowI)
 	res.ChipPowerW = append(res.ChipPowerW, chip)
 	res.BudgetW = append(res.BudgetW, l.budget)
 	if chip > l.budget*(1+1e-9) {

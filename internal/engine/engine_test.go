@@ -229,7 +229,7 @@ func TestResultEdgeCases(t *testing.T) {
 
 	single := &Result{
 		ChipPowerW: []float64{1, 3, 2},
-		CorePowerW: [][]float64{{1}, {3}, {2}},
+		CorePowerW: Series{width: 1, vals: []float64{1, 3, 2}},
 	}
 	if v := single.MaxChipPowerW(); v != 3 {
 		t.Errorf("single-core MaxChipPowerW = %v, want 3", v)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"gpm/internal/core"
@@ -21,12 +23,15 @@ type Result struct {
 	DeltaSim time.Duration
 	// ChipPowerW[i] is average chip power over delta interval i.
 	ChipPowerW []float64
-	// CorePowerW[i][c] and CoreInstr[i][c] are per-core series.
-	CorePowerW [][]float64
-	CoreInstr  [][]float64
+	// CorePowerW.At(i, c) and CoreInstr.At(i, c) are core c's average power
+	// and committed instructions over delta interval i.
+	CorePowerW Series
+	CoreInstr  Series
 	// BudgetW[i] is the budget in force during interval i.
 	BudgetW []float64
-	// Modes[k] is the vector in force during explore interval k.
+	// Modes[k] is the vector in force during explore interval k. The
+	// vectors are capped views into one backing; callers must not mutate
+	// them.
 	Modes []modes.Vector
 
 	// Elapsed is the simulated wall time (horizon, or first completion).
@@ -109,15 +114,14 @@ func (r *Result) MaxChipPowerW() float64 {
 // management avoids). It exceeds MaxChipPowerW because per-core peaks rarely
 // align, mirroring the paper's widening average-vs-peak gap (§1).
 func (r *Result) EnvelopePowerW() float64 {
-	if len(r.CorePowerW) == 0 {
+	if r.CorePowerW.Len() == 0 {
 		return 0
 	}
-	n := len(r.CorePowerW[0])
 	var sum float64
-	for c := 0; c < n; c++ {
+	for c := 0; c < r.CorePowerW.Width(); c++ {
 		var m float64
-		for i := range r.CorePowerW {
-			if p := r.CorePowerW[i][c]; p > m {
+		for i := 0; i < r.CorePowerW.Len(); i++ {
+			if p := r.CorePowerW.At(i, c); p > m {
 				m = p
 			}
 		}
@@ -146,4 +150,50 @@ func (r *Result) ExploreChipPowerW(deltasPerExplore int) []float64 {
 		out = append(out, sum/float64(end-i))
 	}
 	return out
+}
+
+// Series is a per-delta, per-core series: Len() rows of Width() values, row
+// i holding each core's value over delta interval i. The rows share one
+// flat backing, so appending a row allocates nothing until the backing is
+// full.
+type Series struct {
+	width int
+	vals  []float64
+}
+
+// Len returns the number of rows (delta intervals).
+func (s Series) Len() int {
+	if s.width == 0 {
+		return 0
+	}
+	return len(s.vals) / s.width
+}
+
+// Width returns the number of values per row (cores).
+func (s Series) Width() int { return s.width }
+
+// Row returns row i. It aliases the backing: callers must not mutate it.
+func (s Series) Row(i int) []float64 {
+	return s.vals[i*s.width : (i+1)*s.width : (i+1)*s.width]
+}
+
+// At returns core c's value over delta interval i.
+func (s Series) At(i, c int) float64 {
+	if c < 0 || c >= s.width {
+		panic(fmt.Sprintf("engine: series column %d out of range [0,%d)", c, s.width))
+	}
+	return s.vals[i*s.width+c]
+}
+
+// appendRow extends the series by one row of width values and returns it
+// for the caller to fill. The first call allocates a backing for estRows
+// rows; later calls grow it only past that estimate.
+func (s *Series) appendRow(width, estRows int) []float64 {
+	if s.vals == nil {
+		s.width = width
+		s.vals = make([]float64, 0, width*max(estRows, 1))
+	}
+	k := len(s.vals)
+	s.vals = slices.Grow(s.vals, width)[:k+width]
+	return s.vals[k : k+width : k+width]
 }

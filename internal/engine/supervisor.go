@@ -111,6 +111,10 @@ type supervisor struct {
 	mx       core.Matrices // supervisor-owned §5.5 matrices, rebuilt per decision
 	lastGood modes.Vector  // most recent gate-passing actuation
 	haveGood bool
+	// out is the buffer rungs 1–3 and the rung-0 repair build their vector
+	// in: StepDecision returns either the inner decider's vector or out,
+	// both valid until the next decision.
+	out modes.Vector
 
 	last Supervision
 
@@ -120,8 +124,9 @@ type supervisor struct {
 	reqC        chan core.Decision
 	resC        chan modes.Vector
 	timer       *time.Timer
-	workSamples []core.Sample // worker-owned copy; written only while idle
-	busy        bool          // an abandoned decision is still running
+	workSamples []core.Sample // worker-owned copies; written only while idle
+	workHint    modes.Vector
+	busy        bool // an abandoned decision is still running
 
 	// sessInval is the inner policy's solver-session invalidator, when it has
 	// one. The session is single-goroutine state that the worker uses during
@@ -145,6 +150,7 @@ func newSupervisor(cfg SupervisorConfig, inner Decider, inj *fault.Injector, n i
 		current:  modes.Uniform(n, modes.Turbo),
 		obs:      make([]core.Sample, n),
 		lastGood: make(modes.Vector, n),
+		out:      make(modes.Vector, n),
 	}
 	s.deepest = modes.Uniform(n, modes.Mode(s.plan.NumModes()-1))
 	if ph, ok := inner.(policyHolder); ok {
@@ -154,6 +160,7 @@ func newSupervisor(cfg SupervisorConfig, inner Decider, inj *fault.Injector, n i
 		s.reqC = make(chan core.Decision, 1)
 		s.resC = make(chan modes.Vector, 1)
 		s.workSamples = make([]core.Sample, n)
+		s.workHint = make(modes.Vector, n)
 		s.timer = time.NewTimer(time.Hour)
 		if !s.timer.Stop() {
 			<-s.timer.C
@@ -192,17 +199,20 @@ func (s *supervisor) StepDecision(d core.Decision) modes.Vector {
 			return s.actuate(v, 0, pred, true)
 		}
 		s.last.Rejected = true
-		if p, ok := s.repair(v, budget); ok {
+		// v belongs to the inner decider: repair a copy.
+		rv := s.outFrom(v)
+		if p, ok := s.repair(rv, budget); ok {
 			s.last.Repaired = true
-			s.syncInner(v)
-			return s.actuate(v, 0, p, true)
+			s.syncInner(rv)
+			return s.actuate(rv, 0, p, true)
 		}
 	}
 
 	// Rung 1: the shared greedy kernel on the supervisor's own matrices —
 	// conformant by construction whenever the budget admits anything.
 	gin := solver.Instance{Plan: s.plan, BudgetW: budget, Power: s.mx.Power, Instr: s.mx.Instr}
-	gv, _ := solver.Greedy{}.Solve(gin)
+	s.out = solver.GreedyInto(s.out, gin)
+	gv := s.out
 	if pred := s.predPower(gv); s.conforms(pred, budget) {
 		s.syncInner(gv)
 		return s.actuate(gv, 1, pred, true)
@@ -211,7 +221,7 @@ func (s *supervisor) StepDecision(d core.Decision) modes.Vector {
 	// Rung 2: the last-known-good vector, refitted to the current budget by
 	// greedy demotion (the "rescale" for budgets that moved under us).
 	if s.haveGood {
-		lk := s.lastGood.Clone()
+		lk := s.outFrom(s.lastGood)
 		if p, ok := s.repair(lk, budget); ok {
 			s.syncInner(lk)
 			return s.actuate(lk, 2, p, true)
@@ -220,10 +230,16 @@ func (s *supervisor) StepDecision(d core.Decision) modes.Vector {
 
 	// Rung 3: uniform deepest-mode emergency throttle — the floor vector is
 	// the least power the chip can draw, conformant or not.
-	dv := s.deepest.Clone()
+	dv := s.outFrom(s.deepest)
 	pred := s.predPower(dv)
 	s.syncInner(dv)
 	return s.actuate(dv, 3, pred, s.conforms(pred, budget))
+}
+
+// outFrom copies v into the supervisor's output buffer and returns it.
+func (s *supervisor) outFrom(v modes.Vector) modes.Vector {
+	s.out = append(s.out[:0], v...)
+	return s.out
 }
 
 // tryDecider runs the configured decider, synchronously (deterministic;
@@ -248,12 +264,18 @@ func (s *supervisor) tryDecider(d core.Decision, out *modes.Vector) bool {
 			return false
 		}
 	}
-	// The engine reuses its sample buffer every interval; the worker may
-	// outlive this one, so hand it a supervisor-owned copy. The abandoned
-	// path may also race the substrate, so the async decider never sees the
-	// lookahead oracle.
+	// The engine reuses its sample and vector buffers every interval; the
+	// worker may outlive this one, so hand it supervisor-owned copies. The
+	// abandoned path may also race the substrate, so the async decider
+	// never sees the lookahead oracle. The vector the worker sends back is
+	// the inner decider's own, read here only after the receive; the worker
+	// writes it again only for the next request.
 	copy(s.workSamples, d.Samples)
 	d.Samples = s.workSamples
+	if d.Hint != nil {
+		s.workHint = append(s.workHint[:0], d.Hint...)
+		d.Hint = s.workHint
+	}
 	d.Lookahead = nil
 	s.reqC <- d
 	s.timer.Reset(s.cfg.Deadline)

@@ -272,9 +272,9 @@ func scanNonFinite(res *engine.Result) []string {
 	for i := range res.ChipPowerW {
 		bad(fmt.Sprintf("ChipPowerW[%d]", i), res.ChipPowerW[i])
 		bad(fmt.Sprintf("BudgetW[%d]", i), res.BudgetW[i])
-		for c := range res.CorePowerW[i] {
-			bad(fmt.Sprintf("CorePowerW[%d][%d]", i, c), res.CorePowerW[i][c])
-			bad(fmt.Sprintf("CoreInstr[%d][%d]", i, c), res.CoreInstr[i][c])
+		for c := 0; c < res.CorePowerW.Width(); c++ {
+			bad(fmt.Sprintf("CorePowerW[%d][%d]", i, c), res.CorePowerW.At(i, c))
+			bad(fmt.Sprintf("CoreInstr[%d][%d]", i, c), res.CoreInstr.At(i, c))
 		}
 	}
 	for c := range res.PerCoreInstr {

@@ -245,10 +245,10 @@ func (e *Env) Figure6(dropAt time.Duration) (*Figure6Result, error) {
 		out.BudgetFrac = append(out.BudgetFrac, res.BudgetW[i]/maxP)
 		var chipInstr float64
 		for c := 0; c < n; c++ {
-			out.CorePowerFrac[c] = append(out.CorePowerFrac[c], res.CorePowerW[i][c]/maxP)
-			frac := res.CoreInstr[i][c] / baseInstrPerDelta
+			out.CorePowerFrac[c] = append(out.CorePowerFrac[c], res.CorePowerW.At(i, c)/maxP)
+			frac := res.CoreInstr.At(i, c) / baseInstrPerDelta
 			out.CoreBIPSFrac[c] = append(out.CoreBIPSFrac[c], frac)
-			chipInstr += res.CoreInstr[i][c]
+			chipInstr += res.CoreInstr.At(i, c)
 		}
 		if t < out.DropAtUs {
 			sumPre += chipInstr / baseInstrPerDelta

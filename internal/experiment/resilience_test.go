@@ -25,10 +25,10 @@ func fingerprint(r *cmpsim.Result) uint64 {
 	for _, p := range r.ChipPowerW {
 		w(p)
 	}
-	for i := range r.CorePowerW {
-		for c := range r.CorePowerW[i] {
-			w(r.CorePowerW[i][c])
-			w(r.CoreInstr[i][c])
+	for i := 0; i < r.CorePowerW.Len(); i++ {
+		for c := 0; c < r.CorePowerW.Width(); c++ {
+			w(r.CorePowerW.At(i, c))
+			w(r.CoreInstr.At(i, c))
 		}
 	}
 	for _, b := range r.BudgetW {

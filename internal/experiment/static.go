@@ -39,9 +39,9 @@ func (e *Env) StaticSelect(combo workload.Combo, budgetFrac float64) (StaticChoi
 	// by the design-time law. The throughput objective still uses native
 	// whole-program averages.
 	peak := make([]float64, n)
-	for i := range base.CorePowerW {
+	for i := 0; i < base.CorePowerW.Len(); i++ {
 		for c := 0; c < n; c++ {
-			if p := base.CorePowerW[i][c]; p > peak[c] {
+			if p := base.CorePowerW.At(i, c); p > peak[c] {
 				peak[c] = p
 			}
 		}

@@ -51,10 +51,10 @@ func (e *Env) Thermal(limits []float64) (*ThermalResult, error) {
 	hottest := 0.0
 	for c := 0; c < combo.Cores(); c++ {
 		var sum float64
-		for i := range base.CorePowerW {
-			sum += base.CorePowerW[i][c]
+		for i := 0; i < base.CorePowerW.Len(); i++ {
+			sum += base.CorePowerW.At(i, c)
 		}
-		if avg := sum / float64(len(base.CorePowerW)); avg > hottest {
+		if avg := sum / float64(base.CorePowerW.Len()); avg > hottest {
 			hottest = avg
 		}
 	}
@@ -92,8 +92,8 @@ func (e *Env) Thermal(limits []float64) (*ThermalResult, error) {
 		}
 		if !governed {
 			// Replay the power series through the thermal model offline.
-			for i := range res.CorePowerW {
-				st.Step(res.CorePowerW[i], res.DeltaSim)
+			for i := 0; i < res.CorePowerW.Len(); i++ {
+				st.Step(res.CorePowerW.Row(i), res.DeltaSim)
 				res.MaxTempC = append(res.MaxTempC, st.MaxTemp())
 			}
 		}

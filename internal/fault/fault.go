@@ -160,6 +160,8 @@ type Injector struct {
 	sc  Scenario
 	rng *rand.Rand
 	n   int
+	// obs is the buffer ObserveSamples reports into, reused every call.
+	obs []core.Sample
 }
 
 // NewInjector builds an injector for an n-core chip.
@@ -176,9 +178,13 @@ func (in *Injector) Scenario() Scenario { return in.sc }
 // ObserveSamples perturbs the true per-core samples into what the manager's
 // sensors report at time now. The input is not modified. Draw order is
 // fixed (core-major, power noise then instruction noise then dropout) so
-// equal seeds replay identically.
+// equal seeds replay identically. The result is the injector's own buffer,
+// never truth's backing: it is valid until the next call.
 func (in *Injector) ObserveSamples(now time.Duration, truth []core.Sample) []core.Sample {
-	out := make([]core.Sample, len(truth))
+	if cap(in.obs) < len(truth) {
+		in.obs = make([]core.Sample, len(truth))
+	}
+	out := in.obs[:len(truth)]
 	copy(out, truth)
 	gain := 1 + in.sc.PowerGain + in.sc.PowerDriftPerSec*now.Seconds()
 	for c := range out {

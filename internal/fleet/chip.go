@@ -11,9 +11,13 @@ import (
 	"gpm/internal/trace"
 )
 
-// coreQueue is one core's FIFO of routed requests.
+// coreQueue is one core's FIFO of routed requests: q[head:] are queued,
+// q[:head] are served slots, cleared so the requests can be collected. The
+// backing is reused: enqueue moves the queue to the front instead of
+// growing when it fills with served slots ahead of it.
 type coreQueue struct {
 	q            []*request
+	head         int
 	backlogInstr float64
 }
 
@@ -131,27 +135,27 @@ func (c *chip) advance() error {
 // request log is filled in canonical (chip, delta, core) order.
 func (c *chip) drain(f *Fleet) {
 	rows := c.loop.Result().CoreInstr
-	for r := c.drained; r < len(rows); r++ {
+	for r := c.drained; r < rows.Len(); r++ {
 		t0 := float64(r) * f.deltaSec
-		for k := range rows[r] {
-			c.serveDelta(k, t0, f.deltaSec, rows[r][k])
+		for k, instr := range rows.Row(r) {
+			c.serveDelta(k, t0, f.deltaSec, instr)
 		}
 	}
-	c.drained = len(rows)
+	c.drained = rows.Len()
 }
 
 // serveDelta advances core k's FIFO across one delta [t0, t0+dt) in which
 // the core committed instr instructions (a uniform rate within the delta).
 func (c *chip) serveDelta(k int, t0, dt, instr float64) {
 	cq := &c.cores[k]
-	if len(cq.q) == 0 || instr <= 0 {
+	if cq.head == len(cq.q) || instr <= 0 {
 		return
 	}
 	rate := instr / dt
 	end := t0 + dt
 	cursor := t0
-	for len(cq.q) > 0 {
-		rq := cq.q[0]
+	for cq.head < len(cq.q) {
+		rq := cq.q[cq.head]
 		if rq.arriveSec > cursor {
 			cursor = rq.arriveSec // idle until the head arrives; capacity is not banked
 		}
@@ -172,7 +176,11 @@ func (c *chip) serveDelta(k int, t0, dt, instr float64) {
 		rq.done = true
 		rq.completeSec = cursor
 		c.queued--
-		cq.q = cq.q[1:]
+		cq.q[cq.head] = nil
+		cq.head++
+	}
+	if cq.head == len(cq.q) {
+		cq.q, cq.head = cq.q[:0], 0
 	}
 }
 
@@ -181,6 +189,11 @@ func (c *chip) enqueue(k int, rq *request) {
 	rq.chip, rq.core = c.id, k
 	rq.remaining = rq.cost
 	cq := &c.cores[k]
+	if len(cq.q) == cap(cq.q) && cq.head > 0 {
+		n := copy(cq.q, cq.q[cq.head:])
+		clear(cq.q[n:])
+		cq.q, cq.head = cq.q[:n], 0
+	}
 	cq.q = append(cq.q, rq)
 	cq.backlogInstr += rq.cost
 	c.backlogInstr += rq.cost

@@ -167,9 +167,9 @@ func TestManagedGuardedCoreDeath(t *testing.T) {
 	// first delta interval at/after the death time.
 	deadFrom := int(deathAt / res.DeltaSim)
 	var instrAfter, powerAfter float64
-	for i := deadFrom; i < len(res.CoreInstr); i++ {
-		instrAfter += res.CoreInstr[i][1]
-		powerAfter += res.CorePowerW[i][1]
+	for i := deadFrom; i < res.CoreInstr.Len(); i++ {
+		instrAfter += res.CoreInstr.At(i, 1)
+		powerAfter += res.CorePowerW.At(i, 1)
 	}
 	if instrAfter != 0 || powerAfter != 0 {
 		t.Errorf("dead core advanced after death: instr=%v power=%v", instrAfter, powerAfter)

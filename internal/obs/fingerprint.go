@@ -69,9 +69,9 @@ func ResultFingerprint(r *engine.Result) uint64 {
 	for i := range r.ChipPowerW {
 		w.Float(r.ChipPowerW[i])
 		w.Float(r.BudgetW[i])
-		for c := range r.CorePowerW[i] {
-			w.Float(r.CorePowerW[i][c])
-			w.Float(r.CoreInstr[i][c])
+		for c := 0; c < r.CorePowerW.Width(); c++ {
+			w.Float(r.CorePowerW.At(i, c))
+			w.Float(r.CoreInstr.At(i, c))
 		}
 	}
 	for _, v := range r.Modes {

@@ -45,19 +45,16 @@ func NewReplayDecider(t *Trace, explore time.Duration) (*ReplayDecider, error) {
 // StepDecision implements engine.Decider: it returns the recorded vector for
 // the next interval. A run that outlives its trace (cadence mismatch) holds
 // the last recorded vector rather than failing mid-loop; Replayed reports
-// how many records were consumed so callers can detect the mismatch.
+// how many records were consumed so callers can detect the mismatch. The
+// returned vector is the decider's own, valid until its next decision.
 func (d *ReplayDecider) StepDecision(core.Decision) modes.Vector {
 	rec := &d.trace.Records[len(d.trace.Records)-1]
 	if d.i < len(d.trace.Records) {
 		rec = &d.trace.Records[d.i]
 		d.i++
 	}
-	v := make(modes.Vector, len(rec.Vector))
-	for c, m := range rec.Vector {
-		v[c] = modes.Mode(m)
-	}
-	d.current = v
-	return v
+	d.current = rec.ModeVector(d.current)
+	return d.current
 }
 
 // Current implements engine.Decider.

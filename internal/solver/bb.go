@@ -214,12 +214,19 @@ func (b *BB) Solve(in Instance) (modes.Vector, Stats) {
 // The solve borrows its frontier, greedy seed and DFS state from the
 // coldScratch free list, and builds the frontier with the fast sorts on
 // finite instances (order-identical there), so a finite solve's one
-// allocation is the returned copy.
+// allocation is the returned copy (none when MaxBIPS builds the answer in
+// its caller's vector).
 func (b *BB) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
+	return b.solveCold(nil, in, cp)
+}
+
+// solveCold is SolveBounded copying its answer into dst (see resizeVector)
+// instead of a fresh vector.
+func (b *BB) solveCold(dst modes.Vector, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
 	n := in.NumCores()
 	if n == 0 {
-		return modes.Vector{}, Stats{Solver: b.Name(), Exact: true, Elapsed: time.Since(start)}
+		return resizeVector(dst, 0), Stats{Solver: b.Name(), Exact: true, Elapsed: time.Since(start)}
 	}
 	cs := takeColdBB()
 	cs.frontier.build(in, finiteInstance(in))
@@ -234,7 +241,9 @@ func (b *BB) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	// v may alias the seed or incumbent buffer: copy it out, and drop the
 	// references to the caller's matrices and checkpoint before giving the
 	// entry back.
-	v = v.Clone()
+	dst = resizeVector(dst, n)
+	copy(dst, v)
+	v = dst
 	cs.seed = gv
 	cs.state = bbState{v: cs.state.v, best: cs.state.best}
 	giveColdBB(cs)

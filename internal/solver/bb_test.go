@@ -120,7 +120,7 @@ func TestColdBBScratchConcurrent(t *testing.T) {
 				in := randInstance(int64(1000*w+r), n, plan3(), 0.6+0.03*float64(r))
 				k := kept{in: in, want: referenceSolve(in)}
 				lex, _ := (&BB{LexTies: true}).Solve(in)
-				mb, _ := MaxBIPS(in)
+				mb, _ := MaxBIPS(nil, in)
 				def, _ := (&BB{}).Solve(in)
 				if wt, dt := in.VectorInstr(k.want), in.VectorInstr(def); math.Abs(wt-dt) > 1e-9*(1+wt) {
 					t.Errorf("worker %d round %d: default bb %v scores %g, the optimum %g", w, r, def, dt, wt)
@@ -267,10 +267,19 @@ func TestMaxBIPSMatchesExhaustive(t *testing.T) {
 		if got := lexBBExact(c.in); got != c.exact {
 			t.Fatalf("%s: gate says exact=%v, want %v", c.name, got, c.exact)
 		}
-		got, st := MaxBIPS(c.in)
+		got, st := MaxBIPS(nil, c.in)
 		want, wst := Exhaustive{}.Solve(c.in)
 		if !got.Equal(want) {
 			t.Fatalf("%s: MaxBIPS %v != Exhaustive %v", c.name, got, want)
+		}
+		// Built in a caller's vector, longer than the instance and holding
+		// stale modes, the answer is the same and costs no allocation.
+		dst := make(modes.Vector, c.in.NumCores()+3)
+		if into, _ := MaxBIPS(dst, c.in); !into.Equal(got) || &into[0] != &dst[0] {
+			t.Fatalf("%s: MaxBIPS into a caller's vector gave %v (own backing %v), want %v", c.name, into, &into[0] == &dst[0], got)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { MaxBIPS(dst, c.in) }); allocs != 0 {
+			t.Errorf("%s: MaxBIPS into a caller's vector made %v allocations, want 0", c.name, allocs)
 		}
 		small := vectorsAtMost(c.in, smallEnumeration)
 		switch {

@@ -46,11 +46,15 @@ type Exhaustive struct{}
 // to greedy) goes to Exhaustive itself, and so do instances of at most
 // smallEnumeration vectors, which it enumerates faster. Stats.Solver names
 // the solver that answered.
-func MaxBIPS(in Instance) (modes.Vector, Stats) {
+//
+// The answer is written into dst, grown first when it is shorter than
+// in.NumCores(), and returned; on finite instances a long enough dst makes
+// the call allocation-free.
+func MaxBIPS(dst modes.Vector, in Instance) (modes.Vector, Stats) {
 	if !vectorsAtMost(in, smallEnumeration) && lexBBExact(in) {
-		return (&BB{LexTies: true}).Solve(in)
+		return (&BB{LexTies: true}).solveCold(dst, in, nil)
 	}
-	return Exhaustive{}.Solve(in)
+	return Exhaustive{}.solveInto(dst, in, nil)
 }
 
 // lexBBExact reports that in meets MaxBIPS's conditions for answering by
@@ -81,14 +85,19 @@ func (e Exhaustive) Solve(in Instance) (modes.Vector, Stats) {
 // cpBatch batches; an aborted solve returns the best vector seen before the
 // cut (the all-deepest floor if nothing qualified yet).
 func (e Exhaustive) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
+	return e.solveInto(nil, in, cp)
+}
+
+// solveInto is SolveBounded building its answer in dst (see resizeVector).
+func (e Exhaustive) solveInto(dst modes.Vector, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
 	st := Stats{Solver: e.Name(), Exact: true}
 	var v modes.Vector
 	if enumerable(in) {
-		v, st.Nodes, st.Aborted = enumerate(in, cp)
+		v, st.Nodes, st.Aborted = enumerate(dst, in, cp)
 	} else {
 		// Refuse intractable instances: fall back to greedy rather than hang.
-		v, st.Nodes, st.Aborted = greedySolve(in, cp, nil)
+		v, st.Nodes, st.Aborted = greedySolve(in, cp, dst)
 		st.Exact = false
 	}
 	if st.Aborted {
@@ -118,13 +127,23 @@ func vectorsAtMost(in Instance, limit int64) bool {
 // canonical-order partial sums. pw[c] and ins[c] hold the power and
 // throughput of cores 0..c-1 folded left from zero, so pw[n] is
 // bit-identical to VectorPower(v), and each step re-sums only the cores at
-// and below the digit the odometer changed. The sums live on the stack at
-// every enumerable width of a multi-mode plan (at most 31 cores), leaving
-// two allocations per call: the odometer and the best vector.
-func enumerate(in Instance, cp *Checkpoint) (best modes.Vector, nodes int64, aborted bool) {
+// and below the digit the odometer changed. The sums and the odometer live
+// on the stack at every enumerable width of a multi-mode plan (at most 31
+// cores), and the best vector is built in dst, so a long enough dst leaves
+// no allocation.
+func enumerate(dst modes.Vector, in Instance, cp *Checkpoint) (best modes.Vector, nodes int64, aborted bool) {
 	n, m := in.NumCores(), in.NumModes()
-	v := make(modes.Vector, n)
-	best = in.deepestVector()
+	var odo [32]modes.Mode
+	var v modes.Vector = odo[:0]
+	if n > len(odo) {
+		v = make(modes.Vector, n)
+	}
+	v = v[:n]
+	best = resizeVector(dst, n)
+	deep := modes.Mode(m - 1)
+	for c := range best {
+		best[c] = deep
+	}
 	bestT, bestP := -1.0, 0.0
 	var stack [64]float64
 	sums := stack[:]

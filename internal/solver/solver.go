@@ -226,6 +226,13 @@ func (g Greedy) Solve(in Instance) (modes.Vector, Stats) {
 	return g.SolveBounded(in, nil)
 }
 
+// GreedyInto returns Greedy's answer on in, built in dst (grown first when
+// it is shorter than in.NumCores()) instead of a fresh vector.
+func GreedyInto(dst modes.Vector, in Instance) modes.Vector {
+	v, _, _ := greedySolve(in, nil, dst)
+	return v
+}
+
 // SolveBounded implements Bounded.
 func (g Greedy) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
