@@ -14,8 +14,12 @@ build:
 	$(GO) build ./...
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet .
 
+# gofmt -l lists every tracked Go file whose formatting differs; any name
+# fails the target.
 vet: build
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test: vet
 	$(GO) test $(GOTESTFLAGS) ./...

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gpm/internal/core"
+	"gpm/internal/engine"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
 	"gpm/internal/solver"
@@ -23,7 +24,9 @@ type ReplayOptions struct {
 	// Policy is the counterfactual policy deciding on the recorded
 	// telemetry. Replaying the recorded policy itself must yield exactly
 	// zero regret versus the recorded lane at every interval (the identity
-	// the package's tests pin).
+	// the package's tests pin). A policy that can own a solver session gets
+	// one for the replay's duration, so such a policy must not be shared by
+	// concurrent replays.
 	Policy core.Policy
 	// Guard arms the resilient manager around Policy, mirroring
 	// cmpsim.Options.Guard. Replays of guarded recordings must pass the
@@ -208,14 +211,6 @@ func Replay(t *obs.Trace, opt ReplayOptions) (*ReplayResult, error) {
 		}
 		pred = core.NewHistoryPredictor(opt.Predictor, *opt.History)
 	}
-	var decider interface {
-		StepDecision(core.Decision) modes.Vector
-	}
-	if opt.Guard != nil {
-		decider = core.NewResilientManagerWith(opt.Plan, opt.Policy, pred, n, *opt.Guard)
-	} else {
-		decider = core.NewManagerWith(opt.Plan, opt.Policy, pred, n)
-	}
 	oracle := opt.Oracle
 	if oracle == nil {
 		var err error
@@ -224,6 +219,9 @@ func Replay(t *obs.Trace, opt ReplayOptions) (*ReplayResult, error) {
 			return nil, fmt.Errorf("calib: replay: %w", err)
 		}
 	}
+
+	decider := engine.NewDecider(opt.Plan, opt.Policy, pred, n, opt.Guard)
+	defer decider.Close()
 
 	out := &ReplayResult{
 		Policy:         opt.Policy.Name(),
@@ -264,10 +262,12 @@ func Replay(t *obs.Trace, opt ReplayOptions) (*ReplayResult, error) {
 		}
 
 		// Counterfactual lane: identical inputs to the recording manager's
-		// StepDecision (warm-start hints omitted; they never change results).
-		polV := decider.StepDecision(core.Decision{
+		// Decide (warm-start hints omitted; they never change results). The
+		// vector in force is the lane's own previous decision.
+		polV, _ := decider.Decide(core.Decision{
 			BudgetW:    rec.BudgetW,
 			ChipPowerW: rec.ChipPowerW,
+			Current:    polCur,
 			Samples:    observed,
 			MemBound:   opt.MemBound,
 			Now:        time.Duration(rec.NowNs),

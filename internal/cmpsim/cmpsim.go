@@ -316,11 +316,11 @@ func build(lib *trace.Library, combo workload.Combo, opt Options) (engine.Substr
 		}
 		eopt.PolicyName = opt.Replay.PolicyName()
 	} else {
+		var mp core.MatrixPredictor = pred
 		if opt.History != nil {
-			eopt.Decider = engine.NewDeciderWith(plan, opt.Policy, core.NewHistoryPredictor(pred, *opt.History), n, opt.Guard)
-		} else {
-			eopt.Decider = engine.NewDecider(plan, opt.Policy, pred, n, opt.Guard)
+			mp = core.NewHistoryPredictor(pred, *opt.History)
 		}
+		eopt.Decider = engine.NewDecider(plan, opt.Policy, mp, n, opt.Guard)
 		eopt.PolicyName = opt.Policy.Name()
 		if opt.Supervisor != nil {
 			sup := *opt.Supervisor

@@ -230,8 +230,9 @@ func (p Predictor) MatricesInto(mx *Matrices, current modes.Vector, samples []Sa
 // Context is everything a policy may consult for one decision.
 type Context struct {
 	Plan modes.Plan
-	// Current is the mode vector in force during the sampled interval. It
-	// is the manager's own vector: policies must not mutate it.
+	// Current is the mode vector in force during the sampled interval
+	// (Decision.Current). It is the caller's vector: policies must not
+	// mutate it.
 	Current modes.Vector
 	// BudgetW is the chip power budget for the next interval in watts.
 	BudgetW float64
@@ -306,102 +307,52 @@ type Policy interface {
 	Decide(ctx Context) modes.Vector
 }
 
-// Manager is the global power manager: it owns the current mode vector and
-// applies a policy at every explore boundary.
+// Manager is the global power manager of §2: at every explore boundary it
+// predicts the matrices and applies its policy. The vector in force is the
+// caller's (Decision.Current); the manager keeps only the buffer it returns
+// its answer in.
 type Manager struct {
 	plan      modes.Plan
 	policy    Policy
 	predictor MatrixPredictor
-	current   modes.Vector
-	// next is the buffer the next decision is sanitized into; it swaps
-	// with current once the decision is adopted.
-	next modes.Vector
+	// out is the buffer each decision is sanitized into and returned in.
+	out modes.Vector
 	// scratch is the working memory lent to the policy (Context.Scratch).
 	scratch Scratch
-	// lastCandidate is the policy's raw output from the most recent Step,
-	// before sanitize (observability only; nil until the first decision and
-	// while an outer guard bypasses the policy).
-	lastCandidate modes.Vector
 	// mx is the reusable matrices backing (MatricesInto target), so the
 	// prediction step allocates nothing in steady state.
 	mx Matrices
-	// hint is the warm-start vector for the next Step, staged by
-	// StepDecision; consumed (and cleared) by exactly one decision.
-	hint modes.Vector
+	// sess and nodes are the policy's session and node-count methods,
+	// resolved once; nil when the policy has none.
+	sess  sessionPolicy
+	nodes nodeCounter
 }
 
-// NewManager builds a manager for n cores, starting all cores at Turbo.
-func NewManager(plan modes.Plan, policy Policy, pred Predictor, n int) *Manager {
-	return NewManagerWith(plan, policy, pred, n)
-}
-
-// NewManagerWith builds a manager around any MatrixPredictor — the analytic
-// Predictor (NewManager's fixed choice, bit-identical through this path) or
-// a stateful upgrade such as the HistoryPredictor.
-func NewManagerWith(plan modes.Plan, policy Policy, pred MatrixPredictor, n int) *Manager {
-	return &Manager{
+// NewManager builds a manager for n cores around any MatrixPredictor — the
+// analytic Predictor or a stateful upgrade such as the HistoryPredictor. A
+// policy that can own a solver session (SolverPolicy built by
+// NewSolverPolicy, or a wrapper embedding it) gets one here; the manager
+// owns it until Close.
+func NewManager(plan modes.Plan, policy Policy, pred MatrixPredictor, n int) *Manager {
+	g := &Manager{
 		plan:      plan,
 		policy:    policy,
 		predictor: pred,
-		current:   modes.Uniform(n, modes.Turbo),
-		next:      make(modes.Vector, n),
+		out:       make(modes.Vector, n),
 	}
+	if sp, ok := policy.(sessionPolicy); ok {
+		sp.EnsureSession()
+		g.sess = sp
+	}
+	g.nodes, _ = policy.(nodeCounter)
+	return g
 }
 
-// Current returns a copy of the mode vector currently in force.
-func (g *Manager) Current() modes.Vector { return g.current.Clone() }
-
-// SetCurrent overrides the mode vector (used when resuming or testing). It
-// copies v into the manager's own vector.
-func (g *Manager) SetCurrent(v modes.Vector) { g.current = append(g.current[:0], v...) }
-
-// Policy returns the active policy.
-func (g *Manager) Policy() Policy { return g.policy }
-
-// Step performs one explore-time decision: build matrices from samples,
-// consult the policy, sanitize and adopt the result. lookahead and memBound
-// may be nil. The returned vector is the manager's own: it is valid until
-// the next decision and callers must not mutate it.
-func (g *Manager) Step(budgetW float64, samples []Sample, lookahead func(int, modes.Mode) (float64, float64), memBound []float64) modes.Vector {
-	g.predictor.MatricesInto(&g.mx, g.current, samples)
-	ctx := Context{
-		Plan:           g.plan,
-		Current:        g.current,
-		BudgetW:        budgetW,
-		Samples:        samples,
-		Matrices:       g.mx,
-		Lookahead:      lookahead,
-		MemBound:       memBound,
-		ExploreSeconds: g.predictor.Explore(),
-		Hint:           g.hint,
-		Scratch:        &g.scratch,
-	}
-	g.hint = nil
-	next := g.policy.Decide(ctx)
-	g.lastCandidate = next
-	g.next = g.sanitize(g.next, next, samples)
-	g.current, g.next = g.next, g.current
-	return g.current
-}
-
-// LastCandidate returns the policy's raw vector from the most recent Step,
-// before sanitization — nil before the first decision or while a guard's
-// emergency throttle bypassed the policy. The returned slice is the policy's
-// answer, often built in the manager's scratch: it is valid until the next
-// decision, and callers must not mutate it.
-func (g *Manager) LastCandidate() modes.Vector { return g.lastCandidate }
-
-// sanitize clamps a policy result to a legal vector and parks finished cores
-// in the deepest mode, writing it into out (grown when shorter than the
-// chip).
-func (g *Manager) sanitize(out, v modes.Vector, samples []Sample) modes.Vector {
-	n := len(g.current)
-	if cap(out) < n {
-		out = make(modes.Vector, n)
-	}
-	out = out[:n]
+// sanitize clamps a policy result to a legal vector in g.out and parks
+// finished cores in the deepest mode.
+func (g *Manager) sanitize(v modes.Vector, samples []Sample) {
 	deepest := modes.Mode(g.plan.NumModes() - 1)
-	for i := 0; i < n; i++ {
+	for i := range g.out {
 		m := modes.Turbo
 		if i < len(v) {
 			m = v[i]
@@ -412,9 +363,8 @@ func (g *Manager) sanitize(out, v modes.Vector, samples []Sample) modes.Vector {
 		if i < len(samples) && samples[i].Done {
 			m = deepest
 		}
-		out[i] = m
+		g.out[i] = m
 	}
-	return out
 }
 
 // EnumerateVectors calls fn for every assignment of numModes modes to n

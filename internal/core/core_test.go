@@ -331,20 +331,14 @@ func TestMinPowerMeetsFloor(t *testing.T) {
 
 func TestManagerLifecycle(t *testing.T) {
 	mgr := NewManager(plan(), MaxBIPS{}, predictor(), 4)
-	if !mgr.Current().Equal(turbo4()) {
-		t.Fatal("manager should start all-Turbo")
-	}
 	s := samples([]float64{20, 20, 20, 20}, []float64{1000, 1000, 1000, 1000})
-	v := mgr.Step(72, s, nil, nil)
+	v, _ := mgr.Decide(Decision{BudgetW: 72, Current: turbo4(), Samples: s})
 	if v.Equal(turbo4()) {
 		t.Error("tight budget should change modes")
 	}
-	if !mgr.Current().Equal(v) {
-		t.Error("manager did not adopt its decision")
-	}
 	// Done cores park at deepest regardless of policy output.
 	s[2].Done = true
-	v = mgr.Step(1000, s, nil, nil)
+	v, _ = mgr.Decide(Decision{BudgetW: 1000, Current: v.Clone(), Samples: s})
 	if v[2] != modes.Eff2 {
 		t.Errorf("completed core not parked: %v", v)
 	}
@@ -354,7 +348,7 @@ func TestManagerSanitizesBadPolicy(t *testing.T) {
 	bad := Fixed{Vector: modes.Vector{modes.Mode(99), -1}}
 	mgr := NewManager(plan(), bad, predictor(), 3)
 	s := samples([]float64{20, 20, 20}, []float64{1, 1, 1})
-	v := mgr.Step(100, s, nil, nil)
+	v, _ := mgr.Decide(Decision{BudgetW: 100, Current: modes.Uniform(3, modes.Turbo), Samples: s})
 	for i, m := range v {
 		if !plan().Valid(m) {
 			t.Errorf("core %d got invalid mode %d", i, m)

@@ -18,7 +18,7 @@ import (
 // solve, safe to share across concurrent sweep workers. NewSolverPolicy
 // returns a policy that can additionally own a solver.Session — warm-started
 // solves with scratch reuse across intervals — via EnsureSession; such a
-// policy belongs to exactly one engine loop.
+// policy belongs to exactly one manager at a time.
 type SolverPolicy struct {
 	Solver solver.Solver
 	// Label overrides the displayed name (default "MaxBIPS[<solver>]").
@@ -36,9 +36,9 @@ type SolverPolicy struct {
 }
 
 // NewSolverPolicy builds a solver policy eligible for a warm-start session.
-// The session itself is created by EnsureSession (the engine loop does this
-// when it adopts the policy) so that a policy that never reaches an engine
-// stays cold.
+// The session itself is created by EnsureSession (NewManager does this when
+// it adopts the policy) so that a policy that never reaches a manager stays
+// cold.
 func NewSolverPolicy(s solver.Solver) *SolverPolicy {
 	return &SolverPolicy{Solver: s}
 }
@@ -61,10 +61,10 @@ func (p *SolverPolicy) CloseSession() {
 }
 
 // InvalidateSession drops the session's memoized optimum, delta certificate,
-// and stability flag, if a session exists. The engine calls this at workload
-// discontinuities (budget steps, core death, emergency throttles, supervisor
-// degradation) where the previous interval's state is no longer evidence
-// about the next one.
+// and stability flag, if a session exists. The engine calls this, through
+// its decider, at workload discontinuities (budget steps, core death,
+// emergency throttles, supervisor degradation) where the previous
+// interval's state is no longer evidence about the next one.
 func (p *SolverPolicy) InvalidateSession() {
 	if p.session != nil {
 		p.session.Invalidate()

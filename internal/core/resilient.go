@@ -176,18 +176,13 @@ type ResilientManager struct {
 	stats ResilientStats
 }
 
-// NewResilientManager builds a guarded manager for n cores.
-func NewResilientManager(plan modes.Plan, policy Policy, pred Predictor, n int, cfg GuardConfig) *ResilientManager {
-	return NewResilientManagerWith(plan, policy, pred, n, cfg)
-}
-
-// NewResilientManagerWith builds a guarded manager around any
-// MatrixPredictor (see NewManagerWith). The guard's sanitization runs
-// upstream of the predictor, so a stateful predictor only ever observes the
-// repaired sample stream.
-func NewResilientManagerWith(plan modes.Plan, policy Policy, pred MatrixPredictor, n int, cfg GuardConfig) *ResilientManager {
+// NewResilientManager builds a guarded manager for n cores around any
+// MatrixPredictor (see NewManager). The guard's sanitization runs upstream
+// of the predictor, so a stateful predictor only ever observes the repaired
+// sample stream.
+func NewResilientManager(plan modes.Plan, policy Policy, pred MatrixPredictor, n int, cfg GuardConfig) *ResilientManager {
 	return &ResilientManager{
-		inner:    NewManagerWith(plan, policy, pred, n),
+		inner:    NewManager(plan, policy, pred, n),
 		plan:     plan,
 		cfg:      cfg.withDefaults(),
 		lastGood: make([]Sample, n),
@@ -199,43 +194,21 @@ func NewResilientManagerWith(plan modes.Plan, policy Policy, pred MatrixPredicto
 	}
 }
 
-// Stats returns a copy of the intervention counters.
-func (r *ResilientManager) Stats() ResilientStats {
-	s := r.stats
-	s.DeadCores = append([]int(nil), r.stats.DeadCores...)
-	if r.emergency && r.emergencyLen > s.LongestEmergency {
-		s.LongestEmergency = r.emergencyLen
-	}
-	return s
-}
-
-// InEmergency reports whether the hard-cap throttle is currently engaged.
-func (r *ResilientManager) InEmergency() bool { return r.emergency }
-
 // Dead reports whether core c has been declared dead.
 func (r *ResilientManager) Dead(c int) bool { return r.dead[c] }
 
-// Current returns the mode vector currently in force.
-func (r *ResilientManager) Current() modes.Vector { return r.inner.Current() }
-
-// SetCurrent overrides the mode vector in force (used when an outer
-// supervisor actuates a vector the manager did not choose, so the next
-// interval's predictions are anchored to what actually ran).
-func (r *ResilientManager) SetCurrent(v modes.Vector) { r.inner.SetCurrent(v) }
-
-// Policy returns the wrapped policy.
-func (r *ResilientManager) Policy() Policy { return r.inner.Policy() }
-
-// Step performs one guarded explore-time decision. chipPowerW is the
+// Decide performs one guarded explore-time decision. d.ChipPowerW is the
 // chip-level power measurement for the previous interval (the VRM-side
-// sensor, independent of the per-core sensors); samples are the possibly
-// corrupted per-core observations. Like Manager.Step, it returns a vector
-// the manager owns, valid until the next decision.
-func (r *ResilientManager) Step(budgetW, chipPowerW float64, samples []Sample, lookahead func(int, modes.Mode) (float64, float64), memBound []float64) modes.Vector {
-	r.clean = r.sanitize(r.clean, samples)
+// sensor, independent of the per-core sensors); d.Samples are the possibly
+// corrupted per-core observations. Like Manager.Decide, it returns a vector
+// the manager owns, valid until the next decision; the report's Emergency
+// is set when the hard-cap throttle decided in place of the policy.
+func (r *ResilientManager) Decide(d Decision) (modes.Vector, Report) {
+	r.clean = r.sanitize(r.clean, d.Samples)
 	clean := r.clean
 
 	// Fall back to the per-core sum if the chip sensor itself reads junk.
+	chipPowerW := d.ChipPowerW
 	if math.IsNaN(chipPowerW) || math.IsInf(chipPowerW, 0) || chipPowerW < 0 {
 		chipPowerW = 0
 		for _, s := range clean {
@@ -244,22 +217,16 @@ func (r *ResilientManager) Step(budgetW, chipPowerW float64, samples []Sample, l
 	}
 	r.crossCheck(clean, chipPowerW)
 
-	if r.updateGuard(budgetW, chipPowerW) {
-		// Emergency: force the deepest vector and keep the inner manager's
-		// notion of the current vector consistent for the next prediction.
+	if r.updateGuard(d.BudgetW, chipPowerW) {
+		// Emergency: force the deepest vector; the policy does not run.
 		if len(r.deepest) != len(clean) {
 			r.deepest = modes.Uniform(len(clean), modes.Mode(r.plan.NumModes()-1))
 		}
-		r.inner.SetCurrent(r.deepest)
-		r.inner.lastCandidate = nil // the policy did not run
-		return r.deepest
+		return r.deepest, Report{Emergency: true}
 	}
-	return r.inner.Step(budgetW, clean, lookahead, memBound)
+	d.Samples = clean
+	return r.inner.Decide(d)
 }
-
-// LastCandidate returns the wrapped policy's raw vector from the most recent
-// decision, or nil while the emergency throttle bypassed the policy.
-func (r *ResilientManager) LastCandidate() modes.Vector { return r.inner.LastCandidate() }
 
 // sanitize repairs the per-core observations into out (grown when shorter
 // than samples) and advances the dead-core detector. It never mutates its

@@ -7,9 +7,30 @@ import (
 	"gpm/internal/modes"
 )
 
-func newRM(n int, cfg GuardConfig) *ResilientManager {
-	return NewResilientManager(plan(), MaxBIPS{}, predictor(), n, cfg)
+func newRM(n int, cfg GuardConfig) *rmDriver {
+	return &rmDriver{
+		ResilientManager: NewResilientManager(plan(), MaxBIPS{}, predictor(), n, cfg),
+		cur:              modes.Uniform(n, modes.Turbo),
+	}
 }
+
+// rmDriver drives a ResilientManager the way the engine loop does: it keeps
+// the vector in force, passes it as Decision.Current and adopts each answer.
+type rmDriver struct {
+	*ResilientManager
+	cur modes.Vector
+	rep Report
+}
+
+func (d *rmDriver) decide(budgetW, chipPowerW float64, s []Sample) modes.Vector {
+	v, rep := d.Decide(Decision{BudgetW: budgetW, ChipPowerW: chipPowerW, Current: d.cur, Samples: s})
+	copy(d.cur, v)
+	d.rep = rep
+	return v
+}
+
+// inEmergency reports whether the last decision was the hard-cap throttle's.
+func (d *rmDriver) inEmergency() bool { return d.rep.Emergency }
 
 func deepestVec(n int) modes.Vector {
 	return modes.Uniform(n, modes.Mode(plan().NumModes()-1))
@@ -30,22 +51,22 @@ func TestGuardDefaultsFilled(t *testing.T) {
 func TestSanitizeRejectsGarbage(t *testing.T) {
 	rm := newRM(2, GuardConfig{})
 	good := samples([]float64{20, 18}, []float64{1000, 900})
-	rm.Step(100, 38, good, nil, nil)
+	rm.decide(100, 38, good)
 
 	bad := samples([]float64{math.NaN(), -5}, []float64{1000, 900})
-	v := rm.Step(100, 38, bad, nil, nil)
+	v := rm.decide(100, 38, bad)
 	if !plan().Valid(v[0]) || !plan().Valid(v[1]) {
 		t.Fatalf("invalid vector %v from garbage samples", v)
 	}
-	st := rm.Stats()
+	st := rm.Stats().Guard
 	if st.SanitizedSamples != 2 {
 		t.Errorf("SanitizedSamples = %d, want 2 (NaN and negative)", st.SanitizedSamples)
 	}
 
 	// Infinity and over-range are rejected too.
 	bad = samples([]float64{math.Inf(1), 1e6}, []float64{1000, 900})
-	rm.Step(100, 38, bad, nil, nil)
-	if got := rm.Stats().SanitizedSamples; got != 4 {
+	rm.decide(100, 38, bad)
+	if got := rm.Stats().Guard.SanitizedSamples; got != 4 {
 		t.Errorf("SanitizedSamples = %d, want 4", got)
 	}
 }
@@ -53,11 +74,11 @@ func TestSanitizeRejectsGarbage(t *testing.T) {
 func TestEWMAClampsOutliers(t *testing.T) {
 	rm := newRM(1, GuardConfig{})
 	for i := 0; i < 5; i++ {
-		rm.Step(100, 20, samples([]float64{20}, []float64{1000}), nil, nil)
+		rm.decide(100, 20, samples([]float64{20}, []float64{1000}))
 	}
 	// A 10× spike is physically implausible between intervals.
-	rm.Step(100, 20, samples([]float64{200}, []float64{1000}), nil, nil)
-	st := rm.Stats()
+	rm.decide(100, 20, samples([]float64{200}, []float64{1000}))
+	st := rm.Stats().Guard
 	if st.ClampedSamples != 1 {
 		t.Errorf("ClampedSamples = %d, want 1", st.ClampedSamples)
 	}
@@ -74,14 +95,14 @@ func TestEmergencyThrottleEngagesAndRecovers(t *testing.T) {
 
 	// Two overshoots: still normal operation.
 	for i := 0; i < 2; i++ {
-		rm.Step(budget, 60, s, nil, nil)
-		if rm.InEmergency() {
+		rm.decide(budget, 60, s)
+		if rm.inEmergency() {
 			t.Fatalf("emergency after %d overshoots, want %d", i+1, cfg.OvershootK)
 		}
 	}
 	// Third consecutive overshoot trips the guard.
-	v := rm.Step(budget, 60, s, nil, nil)
-	if !rm.InEmergency() {
+	v := rm.decide(budget, 60, s)
+	if !rm.inEmergency() {
 		t.Fatal("guard did not engage after K consecutive overshoots")
 	}
 	if !v.Equal(deepestVec(2)) {
@@ -89,20 +110,20 @@ func TestEmergencyThrottleEngagesAndRecovers(t *testing.T) {
 	}
 
 	// One recovered interval is not enough (hysteresis).
-	v = rm.Step(budget, 40, s, nil, nil)
-	if !rm.InEmergency() || !v.Equal(deepestVec(2)) {
+	v = rm.decide(budget, 40, s)
+	if !rm.inEmergency() || !v.Equal(deepestVec(2)) {
 		t.Fatal("guard released before RecoverH consecutive recoveries")
 	}
 	// Second recovered interval releases the throttle this step.
-	v = rm.Step(budget, 40, s, nil, nil)
-	if rm.InEmergency() {
+	v = rm.decide(budget, 40, s)
+	if rm.inEmergency() {
 		t.Fatal("guard still engaged after RecoverH recoveries")
 	}
 	if v.Equal(deepestVec(2)) {
 		t.Fatal("released guard should hand control back to the policy")
 	}
 
-	st := rm.Stats()
+	st := rm.Stats().Guard
 	if st.EmergencyEntries != 1 {
 		t.Errorf("EmergencyEntries = %d, want 1", st.EmergencyEntries)
 	}
@@ -118,10 +139,10 @@ func TestOvershootRunMustBeConsecutive(t *testing.T) {
 	rm := newRM(1, GuardConfig{OvershootK: 3})
 	s := samples([]float64{30}, []float64{1000})
 	for i := 0; i < 10; i++ {
-		rm.Step(50, 60, s, nil, nil) // over
-		rm.Step(50, 40, s, nil, nil) // under: resets the run
+		rm.decide(50, 60, s) // over
+		rm.decide(50, 40, s) // under: resets the run
 	}
-	if rm.InEmergency() || rm.Stats().EmergencyEntries != 0 {
+	if rm.inEmergency() || rm.Stats().Guard.EmergencyEntries != 0 {
 		t.Error("alternating overshoots must not trip the guard")
 	}
 }
@@ -130,27 +151,27 @@ func TestDeadCoreDetectionAndParking(t *testing.T) {
 	cfg := GuardConfig{DeadIntervals: 3}
 	rm := newRM(2, cfg)
 	live := samples([]float64{20, 20}, []float64{1000, 1000})
-	rm.Step(100, 40, live, nil, nil)
+	rm.decide(100, 40, live)
 
 	halfDead := samples([]float64{20, 0}, []float64{1000, 0})
 	// First two zero intervals are treated as dropouts.
 	for i := 0; i < 2; i++ {
-		rm.Step(100, 20, halfDead, nil, nil)
+		rm.decide(100, 20, halfDead)
 		if rm.Dead(1) {
 			t.Fatalf("core declared dead after %d zero intervals, want %d", i+1, cfg.DeadIntervals)
 		}
 	}
-	v := rm.Step(100, 20, halfDead, nil, nil)
+	v := rm.decide(100, 20, halfDead)
 	if !rm.Dead(1) {
 		t.Fatal("core not declared dead after DeadIntervals zero intervals")
 	}
 	if v[1] != modes.Mode(plan().NumModes()-1) {
 		t.Errorf("dead core in mode %v, want parked at deepest", v[1])
 	}
-	if v[0] == modes.Mode(plan().NumModes()-1) && rm.InEmergency() {
+	if v[0] == modes.Mode(plan().NumModes()-1) && rm.inEmergency() {
 		t.Error("live core throttled by a neighbour's death")
 	}
-	st := rm.Stats()
+	st := rm.Stats().Guard
 	if len(st.DeadCores) != 1 || st.DeadCores[0] != 1 {
 		t.Errorf("DeadCores = %v, want [1]", st.DeadCores)
 	}
@@ -159,12 +180,12 @@ func TestDeadCoreDetectionAndParking(t *testing.T) {
 	rm2 := newRM(1, cfg)
 	zero := samples([]float64{0}, []float64{0})
 	ok := samples([]float64{20}, []float64{1000})
-	rm2.Step(100, 20, ok, nil, nil)
-	rm2.Step(100, 20, zero, nil, nil)
-	rm2.Step(100, 20, zero, nil, nil)
-	rm2.Step(100, 20, ok, nil, nil)
-	rm2.Step(100, 20, zero, nil, nil)
-	rm2.Step(100, 20, zero, nil, nil)
+	rm2.decide(100, 20, ok)
+	rm2.decide(100, 20, zero)
+	rm2.decide(100, 20, zero)
+	rm2.decide(100, 20, ok)
+	rm2.decide(100, 20, zero)
+	rm2.decide(100, 20, zero)
 	if rm2.Dead(0) {
 		t.Error("interleaved dropouts declared a live core dead")
 	}
@@ -176,14 +197,14 @@ func TestDeadCoreBudgetRedistributes(t *testing.T) {
 	rm := newRM(2, GuardConfig{DeadIntervals: 1})
 	budget := 25.0 // two 20 W cores cannot both run Turbo
 	both := samples([]float64{20, 20}, []float64{1000, 1000})
-	v := rm.Step(budget, 40, both, nil, nil)
+	v := rm.decide(budget, 40, both)
 	if v[0] == modes.Turbo && v[1] == modes.Turbo {
 		t.Fatal("budget should not admit two Turbo cores")
 	}
 	// Report power consistent with the mode each core actually ran in.
 	p0 := 20 * plan().PowerScale(v[0])
 	dead1 := samples([]float64{p0, 0}, []float64{1000, 0})
-	v = rm.Step(budget, p0, dead1, nil, nil)
+	v = rm.decide(budget, p0, dead1)
 	if !rm.Dead(1) {
 		t.Fatal("core 1 not declared dead")
 	}
@@ -197,13 +218,13 @@ func TestCrossCheckRescalesStuckLowSensor(t *testing.T) {
 	// Core 1's sensor is stuck at 0.5 W but the chip sensor reads the true
 	// 40 W total. Sanitized powers must be rescaled to sum to 40.
 	s := samples([]float64{20, 0.5}, []float64{1000, 1000})
-	rm.Step(100, 40, s, nil, nil)
-	if got := rm.Stats().RescaledIntervals; got != 1 {
+	rm.decide(100, 40, s)
+	if got := rm.Stats().Guard.RescaledIntervals; got != 1 {
 		t.Errorf("RescaledIntervals = %d, want 1", got)
 	}
 	// With agreement, no rescale happens.
-	rm.Step(100, 20.5, s, nil, nil)
-	if got := rm.Stats().RescaledIntervals; got != 1 {
+	rm.decide(100, 20.5, s)
+	if got := rm.Stats().Guard.RescaledIntervals; got != 1 {
 		t.Errorf("RescaledIntervals = %d after agreeing interval, want 1", got)
 	}
 }
@@ -213,10 +234,10 @@ func TestChipSensorFallback(t *testing.T) {
 	// per-core sum, which here is under budget.
 	rm := newRM(1, GuardConfig{OvershootK: 1})
 	s := samples([]float64{20}, []float64{1000})
-	rm.Step(100, math.NaN(), s, nil, nil)
-	rm.Step(100, math.Inf(1), s, nil, nil)
-	rm.Step(100, -3, s, nil, nil)
-	if rm.InEmergency() {
+	rm.decide(100, math.NaN(), s)
+	rm.decide(100, math.Inf(1), s)
+	rm.decide(100, -3, s)
+	if rm.inEmergency() {
 		t.Error("junk chip readings tripped the guard")
 	}
 }

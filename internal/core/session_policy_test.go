@@ -143,3 +143,43 @@ func TestSolverPolicySessionInvariance(t *testing.T) {
 		t.Fatalf("post-close cold Decide %v != cold %v", v3, cold)
 	}
 }
+
+// embeddedSessionPolicy has the shape of a policy wrapper that embeds a
+// session-owning *SolverPolicy in a value type (a timing wrapper, say): the
+// session methods are promoted, and InvalidateSession is overridden.
+type embeddedSessionPolicy struct {
+	*SolverPolicy
+	invalidations *int
+}
+
+func (p embeddedSessionPolicy) InvalidateSession() {
+	*p.invalidations++
+	p.SolverPolicy.InvalidateSession()
+}
+
+// TestManagerAdoptsEmbeddedSession pins that NewManager finds a session by
+// method set, not by concrete type: a value-type wrapper embedding
+// *SolverPolicy gets its session opened, reported, invalidated through the
+// wrapper's override, and released by Close.
+func TestManagerAdoptsEmbeddedSession(t *testing.T) {
+	var invals int
+	pol := embeddedSessionPolicy{SolverPolicy: NewSolverPolicy(&solver.BB{}), invalidations: &invals}
+	mgr := NewManager(plan(), pol, predictor(), 4)
+	if _, on := pol.SessionStats(); !on {
+		t.Fatal("NewManager did not open the wrapper's session")
+	}
+	s := samples([]float64{20, 18, 15, 17}, []float64{900, 1000, 700, 850})
+	mgr.Decide(Decision{BudgetW: 55, Current: turbo4(), Samples: s})
+	mgr.InvalidateSession()
+	if invals != 1 {
+		t.Fatalf("InvalidateSession reached the wrapper's override %d times, want 1", invals)
+	}
+	if st := mgr.Stats(); !st.SessionOn || st.Session.Solves != 1 {
+		t.Fatalf("Stats = %+v, want the session on with 1 solve", st)
+	}
+	mgr.Close()
+	if _, on := pol.SessionStats(); on {
+		t.Fatal("Close left the wrapper's session open")
+	}
+	mgr.Close()
+}

@@ -13,8 +13,10 @@
 // guard interventions) in one Result. A Substrate supplies the simulated
 // hardware: bootstrap probe, per-delta advancement split into stall and
 // execution, completion reporting, and mode-power estimates for the stall
-// endpoints. A Decider supplies the manager — plain or resilient — through
-// core.Decision, so no `if guarded` forks survive in the loop.
+// endpoints. A Decider supplies the manager — plain, resilient, supervised
+// or replayed — through one four-method contract (Decide, InvalidateSession,
+// Stats, Close); the loop owns the vector in force and probes the decider
+// for nothing else, so no `if guarded` forks survive in the loop.
 package engine
 
 import (
@@ -61,45 +63,45 @@ type Substrate interface {
 	MemBound() []float64
 }
 
-// Decider is one global power manager: plain (*core.Manager) or guarded
-// (*core.ResilientManager), both satisfy it via core.Decision.
+// Decider is the one contract between the loop and a global power manager.
+// Four types implement it: *core.Manager (plain), *core.ResilientManager
+// (guarded), the engine's decision supervisor, and obs.ReplayDecider.
 //
-// Vector ownership: the vector StepDecision returns belongs to the decider
-// and stays valid until its next StepDecision. The loop copies it before
-// then and never mutates it, so a decider may return a buffer it reuses
-// every decision. Likewise d.Hint and d.Samples belong to the loop: a
+// Vector ownership: the loop owns the vector in force and hands it over as
+// d.Current; no decider keeps a copy between decisions. The vector Decide
+// returns belongs to the decider and stays valid until its next Decide,
+// together with the report's Candidate. The loop copies it before then and
+// never mutates it, so a decider may return a buffer it reuses every
+// decision. Likewise d.Current, d.Hint and d.Samples belong to the loop: a
 // decider must not mutate them or keep them past the call.
 type Decider interface {
-	// StepDecision performs one explore-boundary decision and returns the
-	// next mode vector.
-	StepDecision(d core.Decision) modes.Vector
-	// Current returns the mode vector currently in force.
-	Current() modes.Vector
-	// GuardStats reports the guard's intervention counters and whether the
-	// decider is guarded at all.
-	GuardStats() (core.ResilientStats, bool)
+	// Decide performs one explore-boundary decision and returns the next
+	// mode vector with the decider's report on it.
+	Decide(d core.Decision) (modes.Vector, core.Report)
+	// InvalidateSession drops the policy's solver-session memo and delta
+	// certificate before the next decision; a no-op without a session.
+	InvalidateSession()
+	// Stats reports the cumulative guard, node and session counters.
+	Stats() core.RunStats
+	// Close releases what the decider owns (session, watchdog worker).
+	// Idempotent; the decider must not decide after.
+	Close()
 }
 
-// Compile-time proof that both managers satisfy Decider.
+// Compile-time proof that the managers and the supervisor satisfy Decider.
 var (
 	_ Decider = (*core.Manager)(nil)
 	_ Decider = (*core.ResilientManager)(nil)
+	_ Decider = (*supervisor)(nil)
 )
 
-// NewDecider builds the manager for n cores: guarded when guard is non-nil,
-// plain otherwise.
-func NewDecider(plan modes.Plan, policy core.Policy, pred core.Predictor, n int, guard *core.GuardConfig) Decider {
-	return NewDeciderWith(plan, policy, pred, n, guard)
-}
-
-// NewDeciderWith is NewDecider over any core.MatrixPredictor — the seam the
-// front ends use to arm the history-table phase predictor
-// (cmpsim.Options.History / fullsim.ManagedOptions.History).
-func NewDeciderWith(plan modes.Plan, policy core.Policy, pred core.MatrixPredictor, n int, guard *core.GuardConfig) Decider {
+// NewDecider builds the manager for n cores over any core.MatrixPredictor:
+// guarded when guard is non-nil, plain otherwise.
+func NewDecider(plan modes.Plan, policy core.Policy, pred core.MatrixPredictor, n int, guard *core.GuardConfig) Decider {
 	if guard != nil {
-		return core.NewResilientManagerWith(plan, policy, pred, n, *guard)
+		return core.NewResilientManager(plan, policy, pred, n, *guard)
 	}
-	return core.NewManagerWith(plan, policy, pred, n)
+	return core.NewManager(plan, policy, pred, n)
 }
 
 // Options configures one engine run. Plan, Budget, Decider, DeltaSim,
@@ -109,7 +111,8 @@ type Options struct {
 	Plan modes.Plan
 	// Budget returns the planned chip power budget in watts at time t.
 	Budget func(t time.Duration) float64
-	// Decider is the global manager making explore-boundary decisions.
+	// Decider is the global manager making explore-boundary decisions. The
+	// loop owns it from New on and closes it in Close.
 	Decider Decider
 	// DeltaSim is the statistics interval; DeltasPerExplore of them form one
 	// explore (decision) interval.
@@ -166,18 +169,13 @@ type Loop struct {
 	decider Decider
 	sup     *supervisor // non-nil when the decision supervisor is armed
 	res     *Result
-
-	// Decider facets, resolved once so the loop pays only a nil check.
-	emerg  emergencyReporter
-	cand   candidateReporter
-	supRep supervisionReporter
-	obs    Observer
+	obs     Observer
 
 	dt          DecisionTrace // reused across intervals when observed
 	stageTraces []StageTrace
 	st          Step // the decision's middleware state, reused so it never escapes
 
-	current      modes.Vector // loop-owned copy of the vector in force
+	current      modes.Vector // the vector in force; the loop is its only owner
 	samples      []core.Sample
 	chipMeasured float64 // the independent chip-level (VRM) power sensor
 	lookahead    func(c int, m modes.Mode) (powerW, instr float64)
@@ -199,14 +197,14 @@ type Loop struct {
 	done        bool
 	degradedRun int // current consecutive rung>0 episode, for LongestDegraded
 
-	// Warm-start plumbing: the loop owns the policy's solver session (when
-	// the policy supports one) and decides per interval whether the previous
-	// actuated vector is a valid hint. warmed is false on the first decision
-	// and after any discontinuity the previous interval (emergency throttle,
-	// supervisor degradation); budget jumps and core death/completion are
-	// re-checked at decision time against prevBudget/prevDeadDone.
-	sessOwner    sessionOwner
-	sessInval    sessionInvalidator
+	// Warm-start plumbing: the loop decides per interval whether the
+	// previous actuated vector is a valid hint, and when to invalidate the
+	// decider's solver session (sessionOn: the policy owns one). warmed is
+	// false on the first decision and after any discontinuity the previous
+	// interval (emergency throttle, supervisor degradation); budget jumps and
+	// core death/completion are re-checked at decision time against
+	// prevBudget/prevDeadDone.
+	sessionOn    bool
 	warmed       bool
 	prevBudget   float64
 	prevDeadDone int
@@ -223,10 +221,15 @@ type Loop struct {
 }
 
 // New validates the options and builds a steppable loop: the substrate is
-// bootstrap-probed and the first decision is pending. Callers must Close the
-// loop (Finish does) — Run defers it.
+// bootstrap-probed and the first decision is pending. The loop owns
+// opt.Decider from here on, and closes it when validation fails. Callers
+// must Close the loop (Finish does) — Run defers it — which closes the
+// decider.
 func New(sub Substrate, opt Options) (*Loop, error) {
 	if err := opt.validate(); err != nil {
+		if opt.Decider != nil {
+			opt.Decider.Close()
+		}
 		return nil, err
 	}
 	n := sub.NumCores()
@@ -251,8 +254,7 @@ func New(sub Substrate, opt Options) (*Loop, error) {
 	}
 
 	// The decision supervisor, when armed, sits between the loop and the
-	// configured decider; everything downstream (facets included) talks to
-	// whichever decider is outermost.
+	// configured decider; the loop talks to whichever decider is outermost.
 	l.decider = opt.Decider
 	if opt.Supervisor != nil {
 		l.sup = newSupervisor(*opt.Supervisor, opt.Decider, inj, n)
@@ -286,29 +288,8 @@ func New(sub Substrate, opt Options) (*Loop, error) {
 	res.Modes = make([]modes.Vector, 0, est/opt.DeltasPerExplore+1)
 	l.res = res
 
-	l.emerg, _ = l.decider.(emergencyReporter)
-	l.cand, _ = l.decider.(candidateReporter)
-	l.supRep, _ = l.decider.(supervisionReporter)
 	l.obs = opt.Observer
-
-	// Adopt the policy's solver session: one loop owns one policy, so the
-	// session's cross-interval state (scratch buffers, warm floors, Hier
-	// shares) is created here and torn down in Close.
-	if ph, ok := l.decider.(policyHolder); ok {
-		if so, ok := ph.Policy().(sessionOwner); ok {
-			so.EnsureSession()
-			l.sessOwner = so
-		}
-		l.sessInval, _ = ph.Policy().(sessionInvalidator)
-	}
-	// When the decider itself mediates invalidation — the watchdog supervisor
-	// defers it while an abandoned decision still runs the policy's session on
-	// the worker goroutine — route through it instead of the bare policy.
-	if l.sessInval != nil {
-		if si, ok := l.decider.(sessionInvalidator); ok {
-			l.sessInval = si
-		}
-	}
+	l.sessionOn = l.decider.Stats().SessionOn
 
 	// Bootstrap sample: the local monitors report each core's behaviour at
 	// Turbo before the first decision; cores dead at t=0 report nothing.
@@ -402,17 +383,11 @@ func (l *Loop) decide() error {
 		// optimum and delta certificate describe a chip that no longer
 		// exists. Drop them before the decision so the delta fast path
 		// cannot patch against stale structure.
-		if l.sessInval != nil {
-			l.sessInval.InvalidateSession()
-			res.Obs.InvalidateCoreDeath++
-		}
+		l.invalidate(&res.Obs.InvalidateCoreDeath)
 	}
 	if l.prevBudget != 0 && math.Abs(l.budget-l.prevBudget) > 0.25*math.Abs(l.prevBudget) {
 		warm = false
-		if l.sessInval != nil {
-			l.sessInval.InvalidateSession()
-			res.Obs.InvalidateBudgetStep++
-		}
+		l.invalidate(&res.Obs.InvalidateBudgetStep)
 	}
 	l.prevDeadDone = deadDone
 	l.prevBudget = l.budget
@@ -425,22 +400,22 @@ func (l *Loop) decide() error {
 	if obs != nil {
 		t0 = time.Now()
 	}
-	next := l.decider.StepDecision(core.Decision{
+	next, rep := l.decider.Decide(core.Decision{
 		BudgetW:    l.budget,
 		ChipPowerW: st.ChipPowerW,
+		Current:    l.current,
 		Samples:    st.Samples,
 		Lookahead:  l.lookahead,
 		MemBound:   l.memBound,
 		Now:        l.now,
 		Hint:       hint,
 	})
-	inEmergency := l.emerg != nil && l.emerg.InEmergency()
-	if inEmergency {
+	if rep.Emergency {
 		res.Obs.GuardOverrides++
 	}
 	var sup Supervision
-	if l.supRep != nil {
-		sup = l.supRep.LastSupervision()
+	if l.sup != nil {
+		sup = l.sup.last
 		res.Obs.SupervisorRungs[sup.Rung]++
 		if sup.Rejected {
 			res.Obs.ConformanceRejects++
@@ -469,22 +444,16 @@ func (l *Loop) decide() error {
 	// emergency throttle and every supervisor intervention (degraded rung,
 	// abandoned or wedged solve) actuate vectors the solver never chose.
 	l.warmed = true
-	if inEmergency {
+	if rep.Emergency {
 		l.warmed = false
 		// The guard actuated a vector the solver never chose; the session's
 		// memo now disagrees with the chip state, so the next decision must
 		// not answer from it (or patch a delta on top of it).
-		if l.sessInval != nil {
-			l.sessInval.InvalidateSession()
-			res.Obs.InvalidateEmergency++
-		}
+		l.invalidate(&res.Obs.InvalidateEmergency)
 	}
-	if l.supRep != nil && (sup.Rung > 0 || sup.TimedOut || sup.Wedged) {
+	if l.sup != nil && (sup.Rung > 0 || sup.TimedOut || sup.Wedged) {
 		l.warmed = false
-		if l.sessInval != nil {
-			l.sessInval.InvalidateSession()
-			res.Obs.InvalidateDegraded++
-		}
+		l.invalidate(&res.Obs.InvalidateDegraded)
 	}
 	stall := l.opt.Plan.MaxTransitionBetween(l.current, next)
 	// Per-core stall power: the worst-case endpoint of the transition
@@ -515,11 +484,11 @@ func (l *Loop) decide() error {
 			Samples:        st.Samples,
 			Stages:         l.stageTraces,
 			Final:          next,
-			GuardEmergency: inEmergency,
+			GuardEmergency: rep.Emergency,
 			Stall:          stall,
 			DecideNs:       time.Since(t0).Nanoseconds(),
 		}
-		if l.supRep != nil {
+		if l.sup != nil {
 			l.dt.Supervised = true
 			l.dt.SupRung = sup.Rung
 			l.dt.SupRejected = sup.Rejected
@@ -527,10 +496,8 @@ func (l *Loop) decide() error {
 			l.dt.SupPredPowerW = sup.PredPowerW
 			l.dt.SupTimedOut = sup.TimedOut
 		}
-		if l.cand != nil {
-			if raw := l.cand.LastCandidate(); raw != nil && !raw.Equal(next) {
-				l.dt.Candidate = raw
-			}
+		if rep.Candidate != nil && !rep.Candidate.Equal(next) {
+			l.dt.Candidate = rep.Candidate
 		}
 		obs.Decision(&l.dt)
 		res.Obs.TraceRecords++
@@ -549,6 +516,15 @@ func (l *Loop) decide() error {
 	}
 	l.simmed = 0 // deltas actually simulated; < DeltasPerExplore when truncated
 	return nil
+}
+
+// invalidate drops the decider's solver session at a discontinuity and
+// counts it under the discontinuity's class, when the policy owns a session.
+func (l *Loop) invalidate(count *int) {
+	if l.sessionOn {
+		l.decider.InvalidateSession()
+		*count++
+	}
 }
 
 // recordModes appends the vector in force to Result.Modes as a capped view
@@ -668,19 +644,15 @@ func (l *Loop) StepDelta() (bool, error) {
 	return l.Done(), nil
 }
 
-// Close releases the loop's supervisor watchdog, if armed. Idempotent; the
-// loop must not be stepped after. Finish calls it.
+// Close closes the decider: the policy's solver session and, when armed,
+// the supervisor's watchdog. Idempotent; the loop must not be stepped after.
+// Finish calls it.
 func (l *Loop) Close() {
 	if l.closed {
 		return
 	}
 	l.closed = true
-	if l.sup != nil {
-		l.sup.stop()
-	}
-	if l.sessOwner != nil {
-		l.sessOwner.CloseSession()
-	}
+	l.decider.Close()
 }
 
 // Finish seals the run accounting — elapsed time, final samples, overshoot
@@ -696,32 +668,28 @@ func (l *Loop) Finish() *Result {
 	res.FinalSamples = append([]core.Sample(nil), l.samples...)
 	res.OvershootEnergyWs = metrics.OvershootEnergyWs(res.ChipPowerW, res.BudgetW, l.deltaSC)
 	res.WorstOvershootWs = metrics.WorstSustainedOvershootWs(res.ChipPowerW, res.BudgetW, l.deltaSC)
-	if st, guarded := l.decider.GuardStats(); guarded {
-		res.EmergencyEntries = st.EmergencyEntries
-		res.EmergencyIntervals = st.EmergencyIntervals
-		res.RecoveryLatency = time.Duration(st.LongestEmergency) * l.explore
-		res.DeadCores = st.DeadCores
-		res.SanitizedSamples = st.SanitizedSamples + st.ClampedSamples
-		res.RescaledIntervals = st.RescaledIntervals
+	st := l.decider.Stats()
+	if st.Guarded {
+		g := st.Guard
+		res.EmergencyEntries = g.EmergencyEntries
+		res.EmergencyIntervals = g.EmergencyIntervals
+		res.RecoveryLatency = time.Duration(g.LongestEmergency) * l.explore
+		res.DeadCores = g.DeadCores
+		res.SanitizedSamples = g.SanitizedSamples + g.ClampedSamples
+		res.RescaledIntervals = g.RescaledIntervals
 	}
-	if ph, ok := l.decider.(policyHolder); ok {
-		if nr, ok := ph.Policy().(nodeReporter); ok {
-			if nodes, counted := nr.SolveNodes(); counted {
-				res.Obs.SolverNodes = nodes
-			}
-		}
-		if sr, ok := ph.Policy().(sessionReporter); ok {
-			if ss, on := sr.SessionStats(); on {
-				res.Obs.SolverMemoHits = ss.MemoHits
-				res.Obs.SolverWarmSolves = ss.WarmFloored
-				res.Obs.SolverHintReturns = ss.HintReturns
-				res.Obs.SolverPruned = ss.Pruned
-				res.Obs.DirtyCores = ss.DirtyCores
-				res.Obs.DeltaSolves = ss.DeltaSolves
-				res.Obs.DeltaCertified = ss.DeltaCertified
-				res.Obs.DeltaFallbacks = ss.DeltaFallbacks
-			}
-		}
+	if st.NodesCounted {
+		res.Obs.SolverNodes = st.Nodes
+	}
+	if ss := st.Session; st.SessionOn {
+		res.Obs.SolverMemoHits = ss.MemoHits
+		res.Obs.SolverWarmSolves = ss.WarmFloored
+		res.Obs.SolverHintReturns = ss.HintReturns
+		res.Obs.SolverPruned = ss.Pruned
+		res.Obs.DirtyCores = ss.DirtyCores
+		res.Obs.DeltaSolves = ss.DeltaSolves
+		res.Obs.DeltaCertified = ss.DeltaCertified
+		res.Obs.DeltaFallbacks = ss.DeltaFallbacks
 	}
 	if l.obs != nil {
 		l.obs.RunEnd(res)

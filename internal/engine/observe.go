@@ -5,7 +5,6 @@ import (
 
 	"gpm/internal/core"
 	"gpm/internal/modes"
-	"gpm/internal/solver"
 )
 
 // StageTrace is the observed effect of one middleware stage on one decision:
@@ -52,7 +51,7 @@ type DecisionTrace struct {
 	GuardEmergency bool
 	// Stall is the synchronized DVFS transition stall charged for the switch.
 	Stall time.Duration
-	// DecideNs is the wall-clock latency of the decider's StepDecision.
+	// DecideNs is the wall-clock latency of the decider's Decide.
 	DecideNs int64
 	// Supervised reports the decision ran under the decision supervisor
 	// (Options.Supervisor); the Sup* fields below are meaningful only then.
@@ -106,11 +105,11 @@ type ObsCounters struct {
 	// overriding one and is never counted.
 	StageOverrides []StageOverride
 	// GuardOverrides counts decisions the resilient manager's emergency
-	// throttle made in place of the policy.
+	// throttle made in place of the policy (core.Report.Emergency).
 	GuardOverrides int
 	// SolverNodes accumulates allocation-solver search nodes across
 	// decisions, when the policy is solver-backed and counting is wired
-	// (core.SolverPolicy.NodeCount).
+	// (core.SolverPolicy.NodeCount), read from Decider.Stats at Finish.
 	SolverNodes int64
 	// WarmHints counts decisions handed the previous actuated vector as a
 	// warm-start hint (the loop withholds it across discontinuities: first
@@ -119,7 +118,7 @@ type ObsCounters struct {
 	WarmHints int
 	// SolverMemoHits/SolverWarmSolves/SolverHintReturns/SolverPruned
 	// snapshot the solver session's cumulative counters at Finish, when the
-	// policy owns one (solver.SessionStats): memo-answered solves,
+	// policy owns one (Decider.Stats().Session): memo-answered solves,
 	// hint-floored BB solves, aborted solves answered by the hint, and
 	// pruned subtrees (SolverPruned/SolverNodes is the incumbent-prune
 	// rate; SolverNodes vs a cold run of the same scenario is the
@@ -137,8 +136,9 @@ type ObsCounters struct {
 	DeltaSolves    int64
 	DeltaCertified int64
 	DeltaFallbacks int64
-	// Invalidate* count the session invalidations the loop issued per
-	// discontinuity class: budget steps beyond the warm-hint tolerance, core
+	// Invalidate* count the session invalidations the loop issued through
+	// Decider.InvalidateSession per discontinuity class, when the policy owns
+	// a session: budget steps beyond the warm-hint tolerance, core
 	// death/completion changing the live set, emergency throttles, and
 	// supervisor degradation (rung > 0, watchdog timeout, or wedge).
 	InvalidateBudgetStep int
@@ -167,49 +167,6 @@ type ObsCounters struct {
 	DegradedDecisions int
 	LongestDegraded   int
 }
-
-// emergencyReporter is the optional Decider facet the engine polls for the
-// GuardOverrides counter (satisfied by core.ResilientManager).
-type emergencyReporter interface{ InEmergency() bool }
-
-// candidateReporter is the optional Decider facet exposing the policy's raw
-// pre-sanitize vector (satisfied by both managers).
-type candidateReporter interface{ LastCandidate() modes.Vector }
-
-// nodeReporter is the optional Policy facet exposing cumulative solver node
-// counts (satisfied by core.SolverPolicy when NodeCount is wired).
-type nodeReporter interface{ SolveNodes() (int64, bool) }
-
-// sessionOwner is the optional Policy facet for warm-start solver sessions
-// (satisfied by *core.SolverPolicy): the loop creates the session when it
-// adopts the policy and tears it down on Close.
-type sessionOwner interface {
-	EnsureSession()
-	CloseSession()
-}
-
-// sessionReporter is the optional Policy facet exposing the session's
-// cumulative warm-start counters for Result.Obs.
-type sessionReporter interface {
-	SessionStats() (solver.SessionStats, bool)
-}
-
-// sessionInvalidator is the optional Policy facet the loop uses to drop the
-// session's memo, delta certificate, and stability flag at workload
-// discontinuities (satisfied by *core.SolverPolicy).
-type sessionInvalidator interface{ InvalidateSession() }
-
-// policyHolder lets the engine reach the decider's policy for nodeReporter.
-type policyHolder interface{ Policy() core.Policy }
-
-// supervisionReporter is the Decider facet the engine polls for supervisor
-// accounting (satisfied by the internal decision supervisor).
-type supervisionReporter interface{ LastSupervision() Supervision }
-
-// currentSetter is the optional Decider facet the supervisor uses to
-// re-anchor the inner manager when it actuates a vector the manager did not
-// choose (satisfied by both core managers).
-type currentSetter interface{ SetCurrent(v modes.Vector) }
 
 // sameSamples reports whether two sample slices are the same backing array —
 // the cheap "did a stage replace the observation?" test.

@@ -73,8 +73,9 @@ func (c SupervisorConfig) tolerance() float64 {
 	return c.ToleranceFrac
 }
 
-// Supervision is the supervisor's account of one decision, polled by the
-// engine per interval for counters and DecisionTrace fields.
+// Supervision is the supervisor's account of one decision, read by the
+// loop from its supervisor per interval for counters and DecisionTrace
+// fields.
 type Supervision struct {
 	// Rung is the degradation-ladder rung that produced the actuated vector.
 	Rung int
@@ -94,7 +95,7 @@ type Supervision struct {
 
 // supervisor implements Decider by wrapping the configured decider with the
 // degradation ladder and conformance gate of SupervisorConfig. It is
-// constructed by Run (never by callers) and used from the engine loop
+// constructed by New (never by callers) and used from the engine loop
 // goroutine only; in watchdog mode a single persistent worker goroutine runs
 // the inner decider so an abandoned decision can keep draining off-loop.
 type supervisor struct {
@@ -106,14 +107,13 @@ type supervisor struct {
 	n       int
 	deepest modes.Vector
 
-	current  modes.Vector  // the vector actually in force (actuated)
 	obs      []core.Sample // finite-filtered last-good observations
 	mx       core.Matrices // supervisor-owned §5.5 matrices, rebuilt per decision
 	lastGood modes.Vector  // most recent gate-passing actuation
 	haveGood bool
 	// out is the buffer rungs 1–3 and the rung-0 repair build their vector
-	// in: StepDecision returns either the inner decider's vector or out,
-	// both valid until the next decision.
+	// in: Decide returns either the inner decider's vector or out, both
+	// valid until the next decision.
 	out modes.Vector
 
 	last Supervision
@@ -122,22 +122,26 @@ type supervisor struct {
 	// are buffered so neither side ever blocks the other permanently: the
 	// worker parks a late result in resC and moves on.
 	reqC        chan core.Decision
-	resC        chan modes.Vector
+	resC        chan decided
 	timer       *time.Timer
-	workSamples []core.Sample // worker-owned copies; written only while idle
+	workCurrent modes.Vector // worker-owned copies; written only while idle
+	workSamples []core.Sample
 	workHint    modes.Vector
 	busy        bool // an abandoned decision is still running
 
-	// sessInval is the inner policy's solver-session invalidator, when it has
-	// one. The session is single-goroutine state that the worker uses during
-	// decisions, so engine-requested invalidations arriving while an
-	// abandoned decision still owns it are deferred (pendingInval) and
-	// applied at the next point the worker is provably idle.
-	sessInval    sessionInvalidator
+	// The inner decider's solver session is single-goroutine state that the
+	// worker uses during decisions, so engine-requested invalidations
+	// arriving while an abandoned decision still owns it are deferred
+	// (pendingInval) and applied at the next point the worker is provably
+	// idle.
 	pendingInval bool
 }
 
-var _ Decider = (*supervisor)(nil)
+// decided is one inner decision as the watchdog worker hands it back.
+type decided struct {
+	v   modes.Vector
+	rep core.Report
+}
 
 func newSupervisor(cfg SupervisorConfig, inner Decider, inj *fault.Injector, n int) *supervisor {
 	s := &supervisor{
@@ -147,18 +151,15 @@ func newSupervisor(cfg SupervisorConfig, inner Decider, inj *fault.Injector, n i
 		inj:      inj,
 		plan:     cfg.Predictor.Plan,
 		n:        n,
-		current:  modes.Uniform(n, modes.Turbo),
 		obs:      make([]core.Sample, n),
 		lastGood: make(modes.Vector, n),
 		out:      make(modes.Vector, n),
 	}
 	s.deepest = modes.Uniform(n, modes.Mode(s.plan.NumModes()-1))
-	if ph, ok := inner.(policyHolder); ok {
-		s.sessInval, _ = ph.Policy().(sessionInvalidator)
-	}
 	if cfg.Deadline > 0 {
 		s.reqC = make(chan core.Decision, 1)
-		s.resC = make(chan modes.Vector, 1)
+		s.resC = make(chan decided, 1)
+		s.workCurrent = make(modes.Vector, n)
 		s.workSamples = make([]core.Sample, n)
 		s.workHint = make(modes.Vector, n)
 		s.timer = time.NewTimer(time.Hour)
@@ -180,31 +181,33 @@ func (s *supervisor) worker() {
 				time.Sleep(hang)
 			}
 		}
-		s.resC <- s.inner.StepDecision(d)
+		v, rep := s.inner.Decide(d)
+		s.resC <- decided{v, rep}
 	}
 }
 
-// StepDecision implements Decider: one trip down the degradation ladder.
-func (s *supervisor) StepDecision(d core.Decision) modes.Vector {
+// Decide implements Decider: one trip down the degradation ladder. The
+// report is the inner decider's when rung 0 answered this interval, zero
+// when it timed out or was skipped as wedged.
+func (s *supervisor) Decide(d core.Decision) (modes.Vector, core.Report) {
 	s.last = Supervision{}
 	s.observe(d.Samples)
-	s.cfg.Predictor.MatricesInto(&s.mx, s.current, s.obs)
+	s.cfg.Predictor.MatricesInto(&s.mx, d.Current, s.obs)
 	budget := d.BudgetW
 
 	// Rung 0: the configured decider, under the deadline.
-	var v modes.Vector
-	if s.tryDecider(d, &v) {
+	v, rep, ok := s.tryDecider(d)
+	if ok {
 		pred := s.predPower(v)
 		if s.conforms(pred, budget) {
-			return s.actuate(v, 0, pred, true)
+			return s.actuate(v, 0, pred, true), rep
 		}
 		s.last.Rejected = true
 		// v belongs to the inner decider: repair a copy.
 		rv := s.outFrom(v)
 		if p, ok := s.repair(rv, budget); ok {
 			s.last.Repaired = true
-			s.syncInner(rv)
-			return s.actuate(rv, 0, p, true)
+			return s.actuate(rv, 0, p, true), rep
 		}
 	}
 
@@ -214,8 +217,7 @@ func (s *supervisor) StepDecision(d core.Decision) modes.Vector {
 	s.out = solver.GreedyInto(s.out, gin)
 	gv := s.out
 	if pred := s.predPower(gv); s.conforms(pred, budget) {
-		s.syncInner(gv)
-		return s.actuate(gv, 1, pred, true)
+		return s.actuate(gv, 1, pred, true), rep
 	}
 
 	// Rung 2: the last-known-good vector, refitted to the current budget by
@@ -223,8 +225,7 @@ func (s *supervisor) StepDecision(d core.Decision) modes.Vector {
 	if s.haveGood {
 		lk := s.outFrom(s.lastGood)
 		if p, ok := s.repair(lk, budget); ok {
-			s.syncInner(lk)
-			return s.actuate(lk, 2, p, true)
+			return s.actuate(lk, 2, p, true), rep
 		}
 	}
 
@@ -232,8 +233,7 @@ func (s *supervisor) StepDecision(d core.Decision) modes.Vector {
 	// the least power the chip can draw, conformant or not.
 	dv := s.outFrom(s.deepest)
 	pred := s.predPower(dv)
-	s.syncInner(dv)
-	return s.actuate(dv, 3, pred, s.conforms(pred, budget))
+	return s.actuate(dv, 3, pred, s.conforms(pred, budget)), rep
 }
 
 // outFrom copies v into the supervisor's output buffer and returns it.
@@ -244,32 +244,33 @@ func (s *supervisor) outFrom(v modes.Vector) modes.Vector {
 
 // tryDecider runs the configured decider, synchronously (deterministic;
 // wall-boundedness comes from the solver-side cooperative deadline) or under
-// the watchdog. It reports whether a rung-0 vector is available.
-func (s *supervisor) tryDecider(d core.Decision, out *modes.Vector) bool {
+// the watchdog. ok reports whether a rung-0 vector is available; without
+// one the report is zero.
+func (s *supervisor) tryDecider(d core.Decision) (v modes.Vector, rep core.Report, ok bool) {
 	if s.reqC == nil {
-		*out = s.inner.StepDecision(d)
-		return true
+		v, rep = s.inner.Decide(d)
+		return v, rep, true
 	}
 	if s.busy {
 		select {
 		case <-s.resC:
 			// A previously abandoned decision finally finished. Its vector
-			// answers a stale interval — discard it and re-anchor the inner
-			// manager to what was actually actuated meanwhile.
+			// answers a stale interval — discard it.
 			s.busy = false
-			s.syncInner(s.current)
 			s.applyPendingInval()
 		default:
 			s.last.Wedged = true
-			return false
+			return nil, core.Report{}, false
 		}
 	}
-	// The engine reuses its sample and vector buffers every interval; the
+	// The engine reuses its vector and sample buffers every interval; the
 	// worker may outlive this one, so hand it supervisor-owned copies. The
 	// abandoned path may also race the substrate, so the async decider
-	// never sees the lookahead oracle. The vector the worker sends back is
-	// the inner decider's own, read here only after the receive; the worker
-	// writes it again only for the next request.
+	// never sees the lookahead oracle. The vector and report the worker
+	// sends back are the inner decider's own, read here only after the
+	// receive; the worker writes them again only for the next request.
+	copy(s.workCurrent, d.Current)
+	d.Current = s.workCurrent
 	copy(s.workSamples, d.Samples)
 	d.Samples = s.workSamples
 	if d.Hint != nil {
@@ -280,19 +281,18 @@ func (s *supervisor) tryDecider(d core.Decision, out *modes.Vector) bool {
 	s.reqC <- d
 	s.timer.Reset(s.cfg.Deadline)
 	select {
-	case v := <-s.resC:
+	case r := <-s.resC:
 		if !s.timer.Stop() {
 			select {
 			case <-s.timer.C:
 			default:
 			}
 		}
-		*out = v
-		return true
+		return r.v, r.rep, true
 	case <-s.timer.C:
 		s.busy = true
 		s.last.TimedOut = true
-		return false
+		return nil, core.Report{}, false
 	}
 }
 
@@ -367,22 +367,9 @@ func (s *supervisor) repair(v modes.Vector, budget float64) (float64, bool) {
 	return pred, s.conforms(pred, budget)
 }
 
-// syncInner re-anchors the inner manager's notion of the current vector to
-// what the supervisor actuated, so next interval's predictions normalize
-// against the modes that actually ran. Skipped while an abandoned decision
-// still owns the inner manager.
-func (s *supervisor) syncInner(v modes.Vector) {
-	if s.busy {
-		return
-	}
-	if cs, ok := s.inner.(currentSetter); ok {
-		cs.SetCurrent(v)
-	}
-}
-
-// actuate records the ladder outcome and adopts v as the vector in force.
+// actuate records the ladder outcome; a gate-passing v becomes the
+// last-known-good vector.
 func (s *supervisor) actuate(v modes.Vector, rung int, pred float64, good bool) modes.Vector {
-	copy(s.current, v)
 	if good {
 		copy(s.lastGood, v)
 		s.haveGood = true
@@ -392,98 +379,57 @@ func (s *supervisor) actuate(v modes.Vector, rung int, pred float64, good bool) 
 	return v
 }
 
-// Current implements Decider: the vector the supervisor actually actuated.
-func (s *supervisor) Current() modes.Vector { return s.current.Clone() }
-
-// GuardStats implements Decider, draining any abandoned decision first so
-// the inner manager is quiescent when read.
-func (s *supervisor) GuardStats() (core.ResilientStats, bool) {
-	s.drain()
-	return s.inner.GuardStats()
-}
-
-// LastSupervision implements supervisionReporter.
-func (s *supervisor) LastSupervision() Supervision { return s.last }
-
-// InEmergency implements emergencyReporter, delegating to the inner decider
-// when it is safe to touch (not owned by an abandoned decision).
-func (s *supervisor) InEmergency() bool {
-	if s.busy {
-		return false
-	}
-	if er, ok := s.inner.(emergencyReporter); ok {
-		return er.InEmergency()
-	}
-	return false
-}
-
-// LastCandidate implements candidateReporter under the same ownership rule.
-func (s *supervisor) LastCandidate() modes.Vector {
-	if s.busy {
-		return nil
-	}
-	if cr, ok := s.inner.(candidateReporter); ok {
-		return cr.LastCandidate()
-	}
-	return nil
-}
-
-// InvalidateSession implements sessionInvalidator under the ownership rule:
-// idle, it forwards to the inner policy's session immediately; with an
-// abandoned decision still running the inner manager — and with it the
-// policy's single-goroutine solver session — the invalidation is deferred
-// and applied at the next point the worker is provably idle (the next
-// dispatch, or drain). Either way it lands before the session's next use.
+// InvalidateSession implements Decider under the ownership rule: idle, it
+// forwards to the inner decider immediately; with an abandoned decision
+// still running the inner decider — and with it the policy's
+// single-goroutine solver session — the invalidation is deferred and
+// applied at the next point the worker is provably idle (the next dispatch,
+// or drain). Either way it lands before the session's next use.
 func (s *supervisor) InvalidateSession() {
-	if s.sessInval == nil {
-		return
-	}
 	if s.busy {
 		s.pendingInval = true
 		return
 	}
-	s.sessInval.InvalidateSession()
+	s.inner.InvalidateSession()
 }
 
 // applyPendingInval flushes a deferred session invalidation. Callers must
 // have just established that the worker is idle (busy == false after a resC
 // receive, which also orders the worker's session writes before ours).
 func (s *supervisor) applyPendingInval() {
-	if s.pendingInval && !s.busy && s.sessInval != nil {
+	if s.pendingInval && !s.busy {
 		s.pendingInval = false
-		s.sessInval.InvalidateSession()
+		s.inner.InvalidateSession()
 	}
 }
 
-// Policy implements policyHolder (end-of-run solver-node accounting).
-func (s *supervisor) Policy() core.Policy {
-	if ph, ok := s.inner.(policyHolder); ok {
-		return ph.Policy()
-	}
-	return nil
+// Stats implements Decider, draining any abandoned decision first so the
+// inner decider is quiescent when read.
+func (s *supervisor) Stats() core.RunStats {
+	s.drain()
+	return s.inner.Stats()
 }
 
-// drain blocks until an abandoned decision finishes, discards its stale
-// result, and re-anchors the inner manager. The wait is bounded by the
-// inner decider's own runtime (plus any injected hang).
+// drain blocks until an abandoned decision finishes and discards its stale
+// result. The wait is bounded by the inner decider's own runtime (plus any
+// injected hang).
 func (s *supervisor) drain() {
 	if s.busy {
 		<-s.resC
 		s.busy = false
-		s.syncInner(s.current)
 		s.applyPendingInval()
 	}
 }
 
-// stop shuts down the watchdog worker; the supervisor must not be stepped
-// after. Run defers it.
-func (s *supervisor) stop() {
-	if s.reqC == nil {
-		return
+// Close implements Decider: it drains and stops the watchdog worker, then
+// closes the inner decider. Idempotent.
+func (s *supervisor) Close() {
+	if s.reqC != nil {
+		s.drain()
+		close(s.reqC)
+		s.reqC = nil
 	}
-	s.drain()
-	close(s.reqC)
-	s.reqC = nil
+	s.inner.Close()
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

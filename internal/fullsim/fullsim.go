@@ -540,11 +540,11 @@ func (ch *Chip) Managed(opt ManagedOptions) (*engine.Result, error) {
 		eopt.Stages = []engine.Stage{obs.NewReplayBudget(opt.Replay)}
 		eopt.PolicyName = opt.Replay.PolicyName()
 	} else {
+		var mp core.MatrixPredictor = pred
 		if opt.History != nil {
-			eopt.Decider = engine.NewDeciderWith(ch.plan, opt.Policy, core.NewHistoryPredictor(pred, *opt.History), n, opt.Guard)
-		} else {
-			eopt.Decider = engine.NewDecider(ch.plan, opt.Policy, pred, n, opt.Guard)
+			mp = core.NewHistoryPredictor(pred, *opt.History)
 		}
+		eopt.Decider = engine.NewDecider(ch.plan, opt.Policy, mp, n, opt.Guard)
 		eopt.PolicyName = opt.Policy.Name()
 		if opt.Supervisor != nil {
 			sup := *opt.Supervisor

@@ -9,6 +9,7 @@ package modes
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -185,16 +186,20 @@ func (v Vector) Equal(o Vector) bool {
 	return true
 }
 
-// String renders the vector with plan-independent numeric modes.
+// String renders the vector with plan-independent numeric modes, e.g.
+// "[0 1 2]". It builds the text in one buffer, so its cost is linear in the
+// width (policy names embed it, and they reach Result.Policy and trace
+// manifests at every width).
 func (v Vector) String() string {
-	s := "["
+	b := make([]byte, 0, 2+2*len(v))
+	b = append(b, '[')
 	for i, m := range v {
 		if i > 0 {
-			s += " "
+			b = append(b, ' ')
 		}
-		s += fmt.Sprintf("%d", int(m))
+		b = strconv.AppendInt(b, int64(m), 10)
 	}
-	return s + "]"
+	return string(append(b, ']'))
 }
 
 // MaxTransitionBetween returns the synchronization stall the chip pays when

@@ -192,6 +192,29 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
+// TestVectorStringLinear pins String's text, which reaches Result.Policy and
+// trace manifests through policy names, and bounds its cost at 1024 cores:
+// the text is built in one buffer, not by one string concatenation per core.
+func TestVectorStringLinear(t *testing.T) {
+	for _, tc := range []struct {
+		v    Vector
+		want string
+	}{
+		{Vector{}, "[]"},
+		{Vector{2}, "[2]"},
+		{Vector{0, 1, 2}, "[0 1 2]"},
+		{Vector{-1, 10, 99}, "[-1 10 99]"},
+	} {
+		if got := tc.v.String(); got != tc.want {
+			t.Errorf("%#v.String() = %q, want %q", []Mode(tc.v), got, tc.want)
+		}
+	}
+	wide := Uniform(1024, Turbo)
+	if allocs := testing.AllocsPerRun(10, func() { _ = wide.String() }); allocs > 2 {
+		t.Fatalf("1024-core String allocates %v objects, want at most 2", allocs)
+	}
+}
+
 func TestMaxTransitionBetween(t *testing.T) {
 	p := defaultPlan()
 	a := Vector{Turbo, Eff1, Eff2}

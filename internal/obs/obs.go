@@ -169,7 +169,7 @@ type Footer struct {
 	TotalInstr float64 `json:"total_instr"`
 	EnergyJ    float64 `json:"energy_j"`
 	// Guard accounting, folded from the resilient manager at run end. A
-	// ReplayDecider reports these as its own GuardStats so a replayed run
+	// ReplayDecider reports these as its own Stats so a replayed run
 	// reproduces the original Result's robustness fields bit-identically.
 	Guarded            bool  `json:"guarded,omitempty"`
 	EmergencyEntries   int   `json:"emergency_entries,omitempty"`

@@ -209,6 +209,41 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// TestReplayDeciderContract pins the replay decider's side of
+// engine.Decider: Stats restores the recording's guard accounting from the
+// footer and nothing else, decisions report zero, and InvalidateSession and
+// Close (twice) are no-ops.
+func TestReplayDeciderContract(t *testing.T) {
+	col := NewCollector(testManifest())
+	runTraced(t, col)
+	tr := col.Trace()
+	dec, err := NewReplayDecider(tr, 500*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := dec.Stats()
+	f := tr.Footer
+	if !st.Guarded || st.Guard.EmergencyEntries != f.EmergencyEntries ||
+		st.Guard.SanitizedSamples != f.SanitizedSamples || st.Guard.RescaledIntervals != f.RescaledIntervals {
+		t.Fatalf("Stats = %+v, want the footer's guard accounting %+v", st, f)
+	}
+	if st.SessionOn || st.NodesCounted {
+		t.Fatalf("replay reports a session or a node count: %+v", st)
+	}
+	dec.InvalidateSession()
+	v, rep := dec.Decide(core.Decision{})
+	if !v.Equal(tr.Records[0].ModeVector(nil)) || rep.Candidate != nil || rep.Emergency {
+		t.Fatalf("first replayed decision = %v %+v, want record 0's vector and a zero report", v, rep)
+	}
+	dec.Close()
+	dec.Close()
+
+	tr.Footer = nil
+	if st := dec.Stats(); st.Guarded {
+		t.Fatalf("footer-less replay reports a guard: %+v", st)
+	}
+}
+
 // TestRoundTripByteIdentical pins the codec: WriteTrace → ReadTrace →
 // WriteTrace must reproduce the bytes exactly.
 func TestRoundTripByteIdentical(t *testing.T) {

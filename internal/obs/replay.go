@@ -10,7 +10,7 @@ import (
 )
 
 // ReplayDecider re-drives a substrate from a recorded trace: instead of
-// sensing and predicting, every StepDecision returns the next recorded mode
+// sensing and predicting, every Decide returns the next recorded mode
 // vector. Driven with the same substrate, injector, thermal state and
 // cadence as the recording run, the engine reproduces the original Result
 // bit-identically — the recorded vectors and budgets are the only inputs the
@@ -20,9 +20,11 @@ import (
 type ReplayDecider struct {
 	trace   *Trace
 	i       int
-	current modes.Vector
+	out     modes.Vector
 	explore time.Duration
 }
+
+var _ engine.Decider = (*ReplayDecider)(nil)
 
 // NewReplayDecider builds a replay decider over t. explore is the run's
 // explore interval, used to convert the footer's recovery latency back to
@@ -37,41 +39,45 @@ func NewReplayDecider(t *Trace, explore time.Duration) (*ReplayDecider, error) {
 	}
 	return &ReplayDecider{
 		trace:   t,
-		current: modes.Uniform(n, modes.Turbo),
+		out:     make(modes.Vector, n),
 		explore: explore,
 	}, nil
 }
 
-// StepDecision implements engine.Decider: it returns the recorded vector for
-// the next interval. A run that outlives its trace (cadence mismatch) holds
-// the last recorded vector rather than failing mid-loop; Replayed reports
-// how many records were consumed so callers can detect the mismatch. The
-// returned vector is the decider's own, valid until its next decision.
-func (d *ReplayDecider) StepDecision(core.Decision) modes.Vector {
+// Decide implements engine.Decider: it returns the recorded vector for the
+// next interval and a zero report. A run that outlives its trace (cadence
+// mismatch) holds the last recorded vector rather than failing mid-loop;
+// Replayed reports how many records were consumed so callers can detect
+// the mismatch. The returned vector is the decider's own, valid until its
+// next decision.
+func (d *ReplayDecider) Decide(core.Decision) (modes.Vector, core.Report) {
 	rec := &d.trace.Records[len(d.trace.Records)-1]
 	if d.i < len(d.trace.Records) {
 		rec = &d.trace.Records[d.i]
 		d.i++
 	}
-	d.current = rec.ModeVector(d.current)
-	return d.current
+	d.out = rec.ModeVector(d.out)
+	return d.out, core.Report{}
 }
-
-// Current implements engine.Decider.
-func (d *ReplayDecider) Current() modes.Vector { return d.current.Clone() }
 
 // Replayed reports how many trace records have been consumed.
 func (d *ReplayDecider) Replayed() int { return d.i }
 
-// GuardStats implements engine.Decider by restoring the recording run's
-// guard accounting from the trace footer, so the engine folds the same
+// InvalidateSession implements engine.Decider: a replay owns no session.
+func (d *ReplayDecider) InvalidateSession() {}
+
+// Close implements engine.Decider: a replay holds nothing to release.
+func (d *ReplayDecider) Close() {}
+
+// Stats implements engine.Decider by restoring the recording run's guard
+// accounting from the trace footer, so the engine folds the same
 // EmergencyEntries/RecoveryLatency/DeadCores/... into the replayed Result.
 // The footer stores the already-summed sanitized+clamped count; it is
 // reported wholly as SanitizedSamples (the engine only consumes the sum).
-func (d *ReplayDecider) GuardStats() (core.ResilientStats, bool) {
+func (d *ReplayDecider) Stats() core.RunStats {
 	f := d.trace.Footer
 	if f == nil || !f.Guarded {
-		return core.ResilientStats{}, false
+		return core.RunStats{}
 	}
 	st := core.ResilientStats{
 		SanitizedSamples:   f.SanitizedSamples,
@@ -83,7 +89,7 @@ func (d *ReplayDecider) GuardStats() (core.ResilientStats, bool) {
 	if d.explore > 0 {
 		st.LongestEmergency = int(time.Duration(f.RecoveryLatencyNs) / d.explore)
 	}
-	return st, true
+	return core.RunStats{Guard: st, Guarded: true}
 }
 
 // ReplayBudget is the replay counterpart of the whole budget middleware
