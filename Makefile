@@ -1,5 +1,10 @@
 GO ?= go
 
+# Every recipe pipes go test into benchjson; without pipefail a failing test
+# process would leave the pipe's status to benchjson alone.
+SHELL := bash
+.SHELLFLAGS := -o pipefail -c
+
 # Extra flags for the test targets, e.g. GOTESTFLAGS=-short for quick CI legs.
 GOTESTFLAGS ?=
 
@@ -76,11 +81,21 @@ bench-check:
 	# measured in the same run (hier's own demand pass). The ratio is
 	# machine-relative: the earlier decision path (a goroutine per cluster,
 	# a frontier build per solve, Instance-copying BB nodes) ran at
-	# 8.9–13.2×, the current one at 4.2–5.6× (40 iterations, six runs
-	# each, 2-vCPU host).
-	$(GO) test -run '^$$' -bench 'BenchmarkSolverWarm/(hier|greedy)-drift/cores=1024' -benchtime 40x -cpu 1 -benchmem ./internal/solver \
-		| $(GO) run ./cmd/benchjson -check BENCH_solver.json -match 'drift/cores=1024' \
-			-ns-match 'hier-drift/cores=1024' -ns-slack 2.5 \
+	# 8.9–13.2×. Both gates read each row's median over five repeats, and
+	# the repeats run as five processes so that hier and greedy samples
+	# alternate in time: one sample that meets host noise once read 7.12×
+	# where the next read 4.99×, and five repeats in one process (all hier
+	# samples, then all greedy ones) still spread 5.8–8.1× over ten runs,
+	# where five alternating processes spread 5.96–6.57× (2-vCPU host). The
+	# greedy row is the sorted walk hier's demand pass also runs, so the
+	# ratio rose when the walk replaced the heap greedy: the heap read
+	# 4.4–5.5×. A failing repeat fails the leg twice over: the loop exits
+	# non-zero into the pipefail shell, and -repeats 5 refuses the rows
+	# that repeat left short.
+	for i in 1 2 3 4 5; do \
+		$(GO) test -run '^$$' -bench 'BenchmarkSolverWarm/(hier|greedy)-drift/cores=1024' -benchtime 40x -cpu 1 -benchmem ./internal/solver || exit 1; \
+	done | $(GO) run ./cmd/benchjson -check BENCH_solver.json -match 'drift/cores=1024' \
+			-ns-match 'hier-drift/cores=1024' -ns-slack 2.5 -repeats 5 \
 			-ratio 'hier-drift/cores=1024<=7*greedy-drift/cores=1024'
 	# Every engine-loop row: a steady-state explore interval allocates
 	# nothing, so a row's allocs/op is its run's fixed setup, and one

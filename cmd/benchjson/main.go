@@ -31,6 +31,12 @@
 //   - -ratio "A<=F*B" relates two fresh rows: the row matching regex A must
 //     run in at most F times the ns/op of the row matching regex B (the
 //     ≥10×-faster-than-full-solve contract, machine-relative by design).
+//
+// The -ns-match and -ratio gates read a row's median ns/op over its repeats,
+// so a leg run with `go test -count N` is judged on the median of N samples
+// rather than on one that met a burst of host noise. -repeats N makes every
+// row those gates read carry at least N samples, so a leg whose later
+// repeats died is not judged on the samples that came before.
 package main
 
 import (
@@ -42,6 +48,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -67,6 +74,7 @@ func main() {
 	nsSlack := flag.Float64("ns-slack", 1.5, "multiplicative headroom over the baseline ns/op for -ns-match rows")
 	nsCap := flag.String("ns-cap", "", "comma-separated regex=ns pairs pinning absolute ns/op ceilings on fresh rows")
 	ratio := flag.String("ratio", "", `"A<=F*B" gate: fresh row A's ns/op must be at most F times fresh row B's`)
+	repeats := flag.Int("repeats", 0, "minimum samples of every row the -ns-match and -ratio gates read (0: any)")
 	flag.Parse()
 
 	results, err := parse(os.Stdin, runtime.Version())
@@ -76,6 +84,10 @@ func main() {
 	}
 	if *check != "" {
 		if err := checkBaseline(results, *check, *match, *slack, *nsMatch, *nsSlack); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		if err := checkRepeats(results, *repeats, *nsMatch, *ratio); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
@@ -172,6 +184,7 @@ func checkBaseline(fresh []Result, path, match string, slack float64, nsMatch st
 		baseline[r.Name] = r
 	}
 	compared, nsCompared, failed := 0, 0, 0
+	nsDone := map[string]bool{}
 	var pairs [][2]Result
 	defer func() {
 		for _, l := range hostLines(pairs) {
@@ -204,17 +217,19 @@ func checkBaseline(fresh []Result, path, match string, slack float64, nsMatch st
 				}
 			}
 		}
-		if nsRow {
-			got, gok := r.Metrics["ns/op"]
+		if nsRow && !nsDone[r.Name] {
+			nsDone[r.Name] = true
+			got, k := medianNS(fresh, r.Name)
 			want, wok := b.Metrics["ns/op"]
-			if gok && wok {
+			if k > 0 && wok {
 				nsCompared++
 				if got > want*nsSlack {
 					failed++
-					fmt.Fprintf(os.Stderr, "benchjson: LATENCY REGRESSION %s: %g ns/op, baseline %g (slack %.2f)\n",
-						r.Name, got, want, nsSlack)
+					fmt.Fprintf(os.Stderr, "benchjson: LATENCY REGRESSION %s: median %g ns/op of %d, baseline %g (slack %.2f)\n",
+						r.Name, got, k, want, nsSlack)
 				} else {
-					fmt.Fprintf(os.Stderr, "benchjson: ok %s: %g ns/op (baseline %g, slack %.2f)\n", r.Name, got, want, nsSlack)
+					fmt.Fprintf(os.Stderr, "benchjson: ok %s: median %g ns/op of %d (baseline %g, slack %.2f)\n",
+						r.Name, got, k, want, nsSlack)
 				}
 			}
 		}
@@ -271,9 +286,67 @@ func checkCaps(fresh []Result, spec string) error {
 	return nil
 }
 
+// medianNS returns the median ns/op over the fresh rows named name and how
+// many there were (go test -count N repeats each row N times).
+func medianNS(fresh []Result, name string) (float64, int) {
+	var xs []float64
+	for _, r := range fresh {
+		if v, ok := r.Metrics["ns/op"]; ok && r.Name == name {
+			xs = append(xs, v)
+		}
+	}
+	k := len(xs)
+	if k == 0 {
+		return 0, 0
+	}
+	sort.Float64s(xs)
+	if k%2 == 1 {
+		return xs[k/2], k
+	}
+	return (xs[k/2-1] + xs[k/2]) / 2, k
+}
+
+// checkRepeats requires every fresh row that the -ns-match regexp or either
+// side of the -ratio spec selects to carry at least n ns/op samples.
+func checkRepeats(fresh []Result, n int, nsMatch, ratioSpec string) error {
+	if n <= 0 {
+		return nil
+	}
+	var exprs []string
+	if nsMatch != "" {
+		exprs = append(exprs, nsMatch)
+	}
+	if le, star := strings.Index(ratioSpec, "<="), strings.Index(ratioSpec, "*"); le >= 0 && star > le {
+		exprs = append(exprs, ratioSpec[:le], ratioSpec[star+1:])
+	}
+	counts := map[string]int{}
+	var names []string
+	for _, r := range fresh {
+		if _, ok := r.Metrics["ns/op"]; ok {
+			if counts[r.Name] == 0 {
+				names = append(names, r.Name)
+			}
+			counts[r.Name]++
+		}
+	}
+	for _, expr := range exprs {
+		sel, err := regexp.Compile(expr)
+		if err != nil {
+			return fmt.Errorf("bad gate regexp %q: %v", expr, err)
+		}
+		for _, name := range names {
+			if sel.MatchString(name) && counts[name] < n {
+				return fmt.Errorf("%s: %d sample(s), -repeats wants at least %d", name, counts[name], n)
+			}
+		}
+	}
+	return nil
+}
+
 // checkRatio enforces a cross-row speedup: spec "A<=F*B" requires the unique
-// fresh row matching regex A to report at most F times the ns/op of the
-// unique fresh row matching regex B.
+// fresh row name matching regex A to report at most F times the ns/op of the
+// unique fresh row name matching regex B, each read as the median over the
+// row's repeats.
 func checkRatio(fresh []Result, spec string) error {
 	if spec == "" {
 		return nil
@@ -287,39 +360,40 @@ func checkRatio(fresh []Result, spec string) error {
 	if err != nil {
 		return fmt.Errorf("bad -ratio factor in %q: %v", spec, err)
 	}
-	find := func(expr string) (Result, error) {
+	find := func(expr string) (string, float64, int, error) {
 		sel, err := regexp.Compile(expr)
 		if err != nil {
-			return Result{}, fmt.Errorf("bad -ratio regexp %q: %v", expr, err)
+			return "", 0, 0, fmt.Errorf("bad -ratio regexp %q: %v", expr, err)
 		}
-		var hit *Result
-		for i := range fresh {
-			if _, ok := fresh[i].Metrics["ns/op"]; ok && sel.MatchString(fresh[i].Name) {
-				if hit != nil {
-					return Result{}, fmt.Errorf("-ratio regexp %q matches both %s and %s", expr, hit.Name, fresh[i].Name)
+		var hit string
+		for _, r := range fresh {
+			if _, ok := r.Metrics["ns/op"]; ok && sel.MatchString(r.Name) {
+				if hit != "" && hit != r.Name {
+					return "", 0, 0, fmt.Errorf("-ratio regexp %q matches both %s and %s", expr, hit, r.Name)
 				}
-				hit = &fresh[i]
+				hit = r.Name
 			}
 		}
-		if hit == nil {
-			return Result{}, fmt.Errorf("-ratio regexp %q matched no fresh row", expr)
+		if hit == "" {
+			return "", 0, 0, fmt.Errorf("-ratio regexp %q matched no fresh row", expr)
 		}
-		return *hit, nil
+		ns, k := medianNS(fresh, hit)
+		return hit, ns, k, nil
 	}
-	a, err := find(spec[:le])
+	a, aNS, aK, err := find(spec[:le])
 	if err != nil {
 		return err
 	}
-	b, err := find(spec[star+1:])
+	b, bNS, bK, err := find(spec[star+1:])
 	if err != nil {
 		return err
 	}
-	if a.Metrics["ns/op"] > f*b.Metrics["ns/op"] {
-		return fmt.Errorf("RATIO %s: %g ns/op exceeds %g × %s (%g ns/op)",
-			a.Name, a.Metrics["ns/op"], f, b.Name, b.Metrics["ns/op"])
+	if aNS > f*bNS {
+		return fmt.Errorf("RATIO %s: median %g ns/op of %d exceeds %g × %s (median %g ns/op of %d)",
+			a, aNS, aK, f, b, bNS, bK)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: ok %s: %g ns/op ≤ %g × %s (%g ns/op)\n",
-		a.Name, a.Metrics["ns/op"], f, b.Name, b.Metrics["ns/op"])
+	fmt.Fprintf(os.Stderr, "benchjson: ok %s: median %g ns/op of %d ≤ %g × %s (median %g ns/op of %d; ratio %.2f)\n",
+		a, aNS, aK, f, b, bNS, bK, aNS/bNS)
 	return nil
 }
 

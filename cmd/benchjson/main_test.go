@@ -200,3 +200,63 @@ func TestCheckRatio(t *testing.T) {
 		t.Fatal("malformed spec accepted")
 	}
 }
+
+// TestCheckMedianOfRepeats pins that the -ratio and -ns-match gates read the
+// median of a row's repeats (go test -count N): one outlying sample neither
+// fails nor passes a gate on its own.
+func TestCheckMedianOfRepeats(t *testing.T) {
+	row := func(name string, ns float64) Result {
+		return Result{Name: name, Metrics: map[string]float64{"ns/op": ns, "allocs/op": 0}}
+	}
+	hier, greedy := "BenchmarkSolverWarm/hier-drift/cores=1024", "BenchmarkSolverWarm/greedy-drift/cores=1024"
+	rows := []Result{
+		row(hier, 1.2e6), row(greedy, 2.4e5),
+		row(hier, 1.7e6), row(greedy, 2.3e5), // the outlier: 7.4× on its own
+		row(hier, 1.25e6), row(greedy, 2.5e5),
+	}
+	if ns, k := medianNS(rows, hier); ns != 1.25e6 || k != 3 {
+		t.Fatalf("medianNS = %g of %d, want 1.25e6 of 3", ns, k)
+	}
+	if ns, k := medianNS(rows[:4], hier); ns != 1.45e6 || k != 2 {
+		t.Fatalf("even-count medianNS = %g of %d, want 1.45e6 of 2", ns, k)
+	}
+	if err := checkRatio(rows, "hier-drift<=7*greedy-drift"); err != nil {
+		t.Fatalf("median ratio 5.2× rejected by a 7× gate: %v", err)
+	}
+	if err := checkRatio(rows, "hier-drift<=5*greedy-drift"); err == nil {
+		t.Fatal("median ratio 5.2× passed a 5× gate")
+	}
+	if err := checkRatio(rows, "drift<=7*greedy-drift"); err == nil {
+		t.Fatal("regexp matching two row names must still fail as ambiguous")
+	}
+	// A leg whose third repeat died leaves hier with three samples and
+	// greedy with two: -repeats 3 must refuse to judge it.
+	spec := "hier-drift<=7*greedy-drift"
+	if err := checkRepeats(rows, 3, "hier-drift", spec); err != nil {
+		t.Fatalf("three samples of each row rejected by -repeats 3: %v", err)
+	}
+	if err := checkRepeats(rows[:5], 3, "", spec); err == nil {
+		t.Fatal("greedy row with two samples passed -repeats 3")
+	}
+	if err := checkRepeats(rows[:4], 3, "hier-drift", ""); err == nil {
+		t.Fatal("-ns-match row with two samples passed -repeats 3")
+	}
+	if err := checkRepeats(rows[:1], 0, "hier-drift", spec); err != nil {
+		t.Fatalf("-repeats 0 must not gate: %v", err)
+	}
+
+	base := `[
+  {"name": "BenchmarkSolverWarm/hier-drift/cores=1024", "iterations": 40, "metrics": {"ns/op": 1000000, "allocs/op": 0}},
+  {"name": "BenchmarkSolverWarm/greedy-drift/cores=1024", "iterations": 40, "metrics": {"ns/op": 240000, "allocs/op": 0}}
+]`
+	path := t.TempDir() + "/base.json"
+	if err := os.WriteFile(path, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkBaseline(rows, path, "drift", 1.05, "hier-drift", 1.5); err != nil {
+		t.Fatalf("median 1.25e6 against a 1.5×1e6 slack rejected: %v", err)
+	}
+	if err := checkBaseline(rows, path, "drift", 1.05, "hier-drift", 1.2); err == nil {
+		t.Fatal("median 1.25e6 passed a 1.2×1e6 slack")
+	}
+}

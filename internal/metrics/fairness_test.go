@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -101,5 +102,28 @@ func TestSummarizeLatency(t *testing.T) {
 	empty := SummarizeLatency(nil)
 	if !math.IsNaN(empty.P50) || !math.IsNaN(empty.P95) || !math.IsNaN(empty.P99) {
 		t.Errorf("empty latency summary %+v, want NaNs", empty)
+	}
+}
+
+// TestSummarizeLatencyMatchesPercentile pins the one-sort summary to three
+// Percentile calls, bit for bit, on random slices polluted with NaN and ±Inf.
+func TestSummarizeLatencyMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, rng.Intn(40))
+		for i := range xs {
+			if rng.Intn(5) == 0 {
+				xs[i] = bad[rng.Intn(len(bad))]
+			} else {
+				xs[i] = rng.NormFloat64() * 100
+			}
+		}
+		got := SummarizeLatency(xs)
+		want := LatencyPercentiles{Percentile(xs, 50), Percentile(xs, 95), Percentile(xs, 99)}
+		same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+		if !same(got.P50, want.P50) || !same(got.P95, want.P95) || !same(got.P99, want.P99) {
+			t.Fatalf("trial %d (%v): SummarizeLatency %+v, Percentile %+v", trial, xs, got, want)
+		}
 	}
 }

@@ -156,16 +156,27 @@ func Percentile(xs []float64, p float64) float64 {
 	if math.IsNaN(p) || p < 0 || p > 100 {
 		return math.NaN()
 	}
+	return percentileSorted(finiteSorted(xs), p)
+}
+
+// finiteSorted returns a sorted copy of xs's finite entries.
+func finiteSorted(xs []float64) []float64 {
 	clean := make([]float64, 0, len(xs))
 	for _, x := range xs {
 		if !math.IsNaN(x) && !math.IsInf(x, 0) {
 			clean = append(clean, x)
 		}
 	}
+	sort.Float64s(clean)
+	return clean
+}
+
+// percentileSorted is Percentile's interpolation over finiteSorted's output,
+// for p already checked to lie in [0, 100].
+func percentileSorted(clean []float64, p float64) float64 {
 	if len(clean) == 0 {
 		return math.NaN()
 	}
-	sort.Float64s(clean)
 	if len(clean) == 1 {
 		return clean[0]
 	}
@@ -184,12 +195,14 @@ type LatencyPercentiles struct {
 	P50, P95, P99 float64
 }
 
-// SummarizeLatency computes the standard serving percentiles of xs.
+// SummarizeLatency computes the standard serving percentiles of xs: the
+// values three Percentile calls return, from one filtered, sorted copy.
 func SummarizeLatency(xs []float64) LatencyPercentiles {
+	clean := finiteSorted(xs)
 	return LatencyPercentiles{
-		P50: Percentile(xs, 50),
-		P95: Percentile(xs, 95),
-		P99: Percentile(xs, 99),
+		P50: percentileSorted(clean, 50),
+		P95: percentileSorted(clean, 95),
+		P99: percentileSorted(clean, 99),
 	}
 }
 

@@ -71,8 +71,9 @@ type hullPt struct{ p, i float64 }
 // build computes per-core efficient frontiers (upper-left convex hulls of
 // the (power, instr) mode points) and the suffix aggregates the bound
 // needs, filling f in place and reusing its buffers. fast selects the
-// allocation-free sorts: insertion sort for the per-core mode points and
-// slices.SortFunc (with the seq tiebreak) for the global segment order. Both
+// allocation-free sorts: insertion sort for the per-core mode points, and
+// for the global segment order insertion sort up to insertionMax segments,
+// slices.SortFunc (with the seq tiebreak) beyond. All
 // produce exactly the stable sorts' order on finite instances: point ties
 // are value-identical duplicates, and the segment comparator extended by seq
 // is a total order whose restriction to (ratio, core) matches
@@ -147,7 +148,20 @@ func (f *frontier) build(in Instance, fast bool) {
 		f.sufP[c] = f.sufP[c+1] + f.baseP[c]
 		f.sufI[c] = f.sufI[c+1] + f.baseI[c]
 	}
-	if fast {
+	if fast && len(f.segs) <= insertionMax {
+		// A cluster's few segments: stable insertion sort by (ratio desc,
+		// core asc), the order the seq-extended comparator below gives.
+		segs := f.segs
+		for a := 1; a < len(segs); a++ {
+			q := segs[a]
+			b := a - 1
+			for b >= 0 && (segs[b].ratio < q.ratio || segs[b].ratio == q.ratio && segs[b].core > q.core) {
+				segs[b+1] = segs[b]
+				b--
+			}
+			segs[b+1] = q
+		}
+	} else if fast {
 		slices.SortFunc(f.segs, func(a, b segment) int {
 			if a.ratio != b.ratio {
 				if a.ratio > b.ratio {
@@ -177,16 +191,19 @@ func (f *frontier) build(in Instance, fast bool) {
 // has fixed cores 0..c-1 at (usedP, usedI), or -Inf when no completion can
 // fit budgetW (eps is the instance's budgetEps). The result is inflated by
 // a tiny relative slack so float associativity differences can never prune
-// a genuinely optimal leaf.
-func (f *frontier) bound(budgetW, eps float64, c int, usedP, usedI float64) float64 {
+// a genuinely optimal leaf. slope is the water-fill's rate at budgetW: the
+// ratio of the segment it fills partly, or 0 when every segment is full.
+// The relaxation is concave in the budget, so it rises by at most slope per
+// extra watt.
+func (f *frontier) bound(budgetW, eps float64, c int, usedP, usedI float64) (ub, slope float64) {
 	slack := budgetW - usedP - f.sufP[c]
 	if slack < -eps {
-		return math.Inf(-1)
+		return math.Inf(-1), 0
 	}
 	if slack < 0 {
 		slack = 0
 	}
-	ub := usedI + f.sufI[c]
+	ub = usedI + f.sufI[c]
 	for _, s := range f.segs {
 		if s.core < c {
 			continue
@@ -196,10 +213,11 @@ func (f *frontier) bound(budgetW, eps float64, c int, usedP, usedI float64) floa
 			slack -= s.dP
 		} else {
 			ub += s.dI * slack / s.dP
+			slope = s.ratio
 			break
 		}
 	}
-	return ub + 1e-9*(1+math.Abs(ub))
+	return ub + 1e-9*(1+math.Abs(ub)), slope
 }
 
 // Solve implements Solver.
@@ -237,7 +255,7 @@ func (b *BB) solveCold(dst modes.Vector, in Instance, cp *Checkpoint) (modes.Vec
 	// Entries are shared by solves of every width: size the incumbent so
 	// the DFS overwrites it in place.
 	cs.state.best = resizeVector(cs.state.best, n)
-	v, st := b.solveFrom(in, cp, &cs.bbScratch, gv, math.Inf(-1), start)
+	v, st := b.solveFrom(in, cp, &cs.bbScratch, gv, math.Inf(-1), start, nil)
 	// v may alias the seed or incumbent buffer: copy it out, and drop the
 	// references to the caller's matrices and checkpoint before giving the
 	// entry back.
@@ -320,11 +338,16 @@ func giveColdBB(cs *coldBB) {
 //
 // sc supplies the built frontier and reusable DFS state (vector and
 // incumbent buffers); the returned vector may alias sc or gv.
-func (b *BB) solveFrom(in Instance, cp *Checkpoint, sc *bbScratch, gv modes.Vector, warmFloor float64, start time.Time) (modes.Vector, Stats) {
+//
+// A non-nil cert carries the seed's budget interval in; a DFS that runs to
+// completion narrows it with its own evidence and marks it ok (see
+// budgetCert). The floor at any prune is at most the final optimum, which
+// is what lets a pruned node's evidence speak for the final answer.
+func (b *BB) solveFrom(in Instance, cp *Checkpoint, sc *bbScratch, gv modes.Vector, warmFloor float64, start time.Time, cert *budgetCert) (modes.Vector, Stats) {
 	f := &sc.frontier
 	st := Stats{Solver: b.Name(), Exact: true}
 	eps := in.budgetEps()
-	st.UpperBoundInstr = f.bound(in.BudgetW, eps, 0, 0, 0)
+	st.UpperBoundInstr, _ = f.bound(in.BudgetW, eps, 0, 0, 0)
 	gp := in.VectorPower(gv)
 	gt := in.VectorInstr(gv)
 	seedFeasible := gp <= in.BudgetW
@@ -334,6 +357,7 @@ func (b *BB) solveFrom(in Instance, cp *Checkpoint, sc *bbScratch, gv modes.Vect
 	*s = bbState{
 		power: in.Power, instr: in.Instr, budgetW: in.BudgetW, eps: eps, m: in.NumModes(),
 		f: f, limit: b.NodeLimit, lexTies: b.LexTies, cp: cp, v: v, best: best,
+		certOn: cert != nil, certHi: math.Inf(1),
 	}
 	s.bestT, s.bestP = -1, 0
 	if seedFeasible {
@@ -365,6 +389,13 @@ func (b *BB) solveFrom(in Instance, cp *Checkpoint, sc *bbScratch, gv modes.Vect
 	// (Exact && Aborted) and a lost memo entry.
 	st.Aborted = s.cpHit
 	st.Elapsed = time.Since(start)
+	if cert != nil && !s.aborted {
+		if s.have {
+			cert.lo = max(cert.lo, s.bestP)
+		}
+		cert.hi = min(cert.hi, s.certHi)
+		cert.ok = true
+	}
 	if !s.have {
 		if seedFeasible {
 			return gv, st // only possible under an aggressive NodeLimit
@@ -399,6 +430,11 @@ type bbState struct {
 	// and a pre-latched checkpoint observed by a later Visit.
 	cpHit  bool
 	cpDebt int64
+	// certOn collects budgetCert evidence: certHi is the least budget at
+	// which some pruned or infeasible part of the tree could hold a vector
+	// beating the floor.
+	certOn bool
+	certHi float64
 }
 
 func (s *bbState) rec(c int, usedP, usedI float64) {
@@ -425,14 +461,15 @@ func (s *bbState) rec(c int, usedP, usedI float64) {
 	if c == len(s.power) {
 		p := sumAt(s.power, s.v)
 		if p > s.budgetW {
+			if s.certOn && p < s.certHi && sumAt(s.instr, s.v) > s.floor {
+				s.certHi = p
+			}
 			return
 		}
 		t := sumAt(s.instr, s.v)
 		if !s.have || better(t, p, s.bestT, s.bestP) {
 			s.have = true
-			if len(s.best) != len(s.v) {
-				s.best = make(modes.Vector, len(s.v))
-			}
+			s.best = resizeVector(s.best, len(s.v))
 			copy(s.best, s.v)
 			s.bestT, s.bestP = t, p
 			if t > s.floor {
@@ -441,20 +478,22 @@ func (s *bbState) rec(c int, usedP, usedI float64) {
 		}
 		return
 	}
-	ub := s.f.bound(s.budgetW, s.eps, c, usedP, usedI)
+	ub, slope := s.f.bound(s.budgetW, s.eps, c, usedP, usedI)
 	if math.IsInf(ub, -1) {
 		s.pruned++
+		if s.certOn {
+			s.certHi = min(s.certHi, s.infeasibleHi(c, usedP, usedI))
+		}
 		return
 	}
 	// LexTies keeps throughput ties alive (strict <); the default prunes
 	// them (≤) once an incumbent vector exists.
-	if s.lexTies || !s.have {
-		if ub < s.floor {
-			s.pruned++
-			return
-		}
-	} else if ub <= s.floor {
+	keepTies := s.lexTies || !s.have
+	if ub < s.floor || (!keepTies && ub == s.floor) {
 		s.pruned++
+		if s.certOn && slope > 0 { // a zero slope is a relaxation no budget lifts
+			s.certHi = min(s.certHi, budgetToGain(s.budgetW, s.floor-ub, slope))
+		}
 		return
 	}
 	power, instr := s.power[c], s.instr[c]
@@ -463,4 +502,32 @@ func (s *bbState) rec(c int, usedP, usedI float64) {
 		s.rec(c+1, usedP+power[mo], usedI+instr[mo])
 	}
 	s.v[c] = 0
+}
+
+// infeasibleHi is the certificate bound of a feasibility-pruned node. No
+// completion fits below usedP + sufP[c], less eps, which dwarfs the
+// rounding between that sum and a leaf's canonical one. Above it the
+// relaxation starts at the base points' throughput and rises at most at the
+// steepest remaining segment's ratio, so a subtree whose base does not beat
+// the floor cannot until the budget has risen that much further.
+func (s *bbState) infeasibleHi(c int, usedP, usedI float64) float64 {
+	x := usedP + s.f.sufP[c] - s.eps
+	base := usedI + s.f.sufI[c]
+	base += 1e-9 * (1 + math.Abs(base))
+	if base > s.floor {
+		return x
+	}
+	for _, sg := range s.f.segs {
+		if sg.core >= c {
+			return budgetToGain(x, s.floor-base, sg.ratio)
+		}
+	}
+	return math.Inf(1) // no segment left: the relaxation stays at base
+}
+
+// budgetToGain is the budget, from b, by which a relaxation rising at most
+// slope per watt can first have gained need, shaved by the rounding of the
+// quotient and the sum.
+func budgetToGain(b, need, slope float64) float64 {
+	return math.Nextafter(b+need/slope*(1-1e-12), math.Inf(-1))
 }

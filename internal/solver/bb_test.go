@@ -199,7 +199,7 @@ func TestColdBBNonFiniteMatchesFreshState(t *testing.T) {
 			var sc bbScratch
 			sc.frontier.build(in, false)
 			gv, _, _ := greedySolve(in, nil, nil)
-			want, wst := b.solveFrom(in, nil, &sc, gv, math.Inf(-1), time.Now())
+			want, wst := b.solveFrom(in, nil, &sc, gv, math.Inf(-1), time.Now(), nil)
 			b.Solve(wide) // leaves the entry's buffers longer and dirty
 			got, st := b.Solve(in)
 			if !got.Equal(want) || st.Nodes != wst.Nodes || st.Pruned != wst.Pruned {

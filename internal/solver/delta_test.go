@@ -202,6 +202,33 @@ func TestDeltaCertifiedPath(t *testing.T) {
 	}
 }
 
+// TestHierSingleClusterDelta pins that a Hier whose one cluster covers the
+// chip keeps its child session's memo and tracked-instance delta path: that
+// child is solved once per decision, so no rebalance certificate stands in
+// for them.
+func TestHierSingleClusterDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ti := newTracked(11, 8, 1.25) // all-Turbo feasible: the delta certifies
+	ses := NewSession(&Hier{ClusterSize: 8})
+	defer ses.Close()
+
+	v0, _ := ses.Solve(ti.in, Hint{})
+	hint := Hint{Vector: v0.Clone(), Instr: ti.in.VectorInstr(v0)}
+	ti.touch(rng, 5)
+	want := coldSolve(&Hier{ClusterSize: 8}, ti.in)
+	got, _ := ses.Solve(ti.in, hint)
+	if !got.Equal(want) {
+		t.Fatalf("single-cluster hier %v != cold %v", got, want)
+	}
+	cs := ses.hier.inner[0].Stats()
+	if cs.DeltaSolves != 1 || cs.DeltaCertified != 1 {
+		t.Fatalf("single-cluster child took no certified delta: %+v", cs)
+	}
+	if ses.hier.inner[0].link != nil {
+		t.Fatal("single-cluster child is linked for certificates nothing reads")
+	}
+}
+
 // TestDeltaFallbackPath pins the demotion: under a tight budget the patched
 // vector cannot sit at the argmax water level, the certificate is void, the
 // attempt is counted as a fallback, and the full solve still returns the

@@ -58,22 +58,26 @@ func (h *Hier) inner() Solver {
 // hierState is a Session's cross-interval Hier memory: the Alpha-smoothed
 // share grants, the previously returned vector (sliced into per-cluster warm
 // hints), one child Session per cluster (scratch, warm floors and frontier
-// reuse for the inner solver), the heap-greedy scratch for the demand pass,
-// and the output buffers. It replaces the mutex-guarded shares that used to
-// live inside Hier itself, so the solver value is now immutable during Solve.
+// reuse for the inner solver) with the link it shares with each, the walk
+// scratch for the demand pass, and the output buffers. It replaces the
+// mutex-guarded shares that used to live inside Hier itself, so the solver
+// value is now immutable during Solve.
 type hierState struct {
 	shares []float64 // previous grants, when Alpha > 0
 	prev   modes.Vector
-	inner  []*Session
-	gs     greedyScratch
+	inner  []Session
+	links  []clusterLink
+	gs     walkScratch
 	out    modes.Vector
 	cur    []float64
 	used   []float64
-	// decision numbers the session's decisions; each child session's
-	// frontierKey is set to it, so a child reuses its BB frontier across the
-	// solves of one decision (same matrices, only the budget moves) and
-	// never across decisions.
+	// decision numbers the session's decisions; each link carries it, so a
+	// child reuses its BB frontier across the solves of one decision (same
+	// matrices, only the budget moves) and never across decisions.
 	decision uint64
+	// reuses counts this solve's rebalance offers answered by a cluster's
+	// certificate; the session folds it into SessionStats.ClusterReuses.
+	reuses int64
 	// sharesStable reports that the last solve left the Alpha-smoothed share
 	// state bit-identical to its value at entry (trivially true when Alpha is
 	// 0 or a single cluster covers the chip). Together with a completed solve
@@ -82,21 +86,79 @@ type hierState struct {
 	sharesStable bool
 }
 
-// ensureInner sizes the per-cluster child sessions, closing any extras when
-// the cluster count shrinks, and opens a new decision for their frontier
-// reuse.
-func (hs *hierState) ensureInner(h *Hier, nc int) {
-	for len(hs.inner) > nc {
-		hs.inner[len(hs.inner)-1].Close()
-		hs.inner = hs.inner[:len(hs.inner)-1]
-	}
-	for len(hs.inner) < nc {
-		hs.inner = append(hs.inner, NewSession(h.inner()))
+// ensureInner opens a new decision over nc clusters of at most k cores and
+// m modes. When the cluster count changes it replaces the child sessions.
+// One cluster covering the chip is an ordinary session over the inner
+// solver, memo and delta path included: it is solved once per decision, so
+// no rebalance offer exists for a certificate to answer. Several clusters
+// are one slab of sessions over one shared inner solver, without memos
+// (certificates answer the rebalance offers a memo used to), each linked to
+// the parent and with its buffers cut from shared slabs by sizeClusters.
+// Child sessions carry no state across decisions that a result depends on,
+// so replacing them changes no vector.
+func (hs *hierState) ensureInner(h *Hier, nc, k, m int) {
+	if len(hs.inner) != nc {
+		for i := range hs.inner {
+			hs.inner[i].Close()
+		}
+		hs.inner = make([]Session, nc)
+		hs.links = nil
+		inner := h.inner()
+		for i := range hs.inner {
+			hs.inner[i].init(inner)
+		}
+		if nc > 1 {
+			hs.links = make([]clusterLink, nc)
+			for i := range hs.inner {
+				c := &hs.inner[i]
+				c.memoOK, c.deltaOK = false, false
+				c.link = &hs.links[i]
+			}
+			sizeClusters(hs.inner, k, m)
+		}
 	}
 	hs.decision++
-	for _, c := range hs.inner {
-		c.frontierKey = hs.decision
+	for i := range hs.links {
+		hs.links[i].decision = hs.decision
 	}
+}
+
+// sizeClusters gives each cluster session its frontier, walk and DFS
+// buffers for clusters of up to k cores and m modes, cut from one slab per
+// element type, so no cluster grows a buffer on its first solve.
+func sizeClusters(ses []Session, k, m int) {
+	nc := len(ses)
+	segs := k * (m - 1)
+	steps := 0 // a short list lives in the walk's side heap
+	if segs > insertionMax {
+		steps = 2 * segs // every step, and the radix sort's buffer
+	}
+	floats := make([]float64, nc*(4*k+2))
+	vecs := make([]modes.Mode, nc*3*k)
+	pts := make([]hullPt, nc*2*m)
+	sg := make([]segment, nc*segs)
+	st := make([]step, nc*(steps+2*k))
+	for i := range ses {
+		f := &ses[i].bb.frontier
+		f.baseP, f.baseI = carve(&floats, k), carve(&floats, k)
+		f.sufP, f.sufI = carve(&floats, k+1), carve(&floats, k+1)
+		f.segs = carve(&sg, segs)[:0]
+		f.pts, f.hull = carve(&pts, m)[:0], carve(&pts, m)[:0]
+		w := &ses[i].gs
+		w.v = carve(&vecs, k)
+		w.steps = carve(&st, steps)
+		w.side, w.stash = carve(&st, k)[:0], carve(&st, k)[:0]
+		d := &ses[i].bb.state
+		d.v, d.best = carve(&vecs, k), carve(&vecs, k)
+	}
+}
+
+// carve cuts the next n elements off *slab, capacity-limited so an append
+// past n reallocates instead of writing into the next cut.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // Solve implements Solver.
@@ -142,7 +204,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 		var v modes.Vector
 		var ist Stats
 		if hs != nil {
-			hs.ensureInner(h, 1)
+			hs.ensureInner(h, 1, n, in.NumModes())
 			v, ist = hs.inner[0].solveBounded(in, hint, cp)
 		} else {
 			v, ist = SolveBounded(h.inner(), in, cp)
@@ -180,7 +242,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	var gnodes int64
 	var gaborted bool
 	if hs != nil && finiteInstance(in) {
-		gv, gnodes, gaborted = heapGreedy(in, cp, &hs.gs)
+		gv, gnodes, gaborted = greedyWalk(in, cp, &hs.gs, nil)
 	} else {
 		gv, gnodes, gaborted = greedySolve(in, cp, nil)
 	}
@@ -240,7 +302,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 		hs.out = resizeVector(hs.out, n)
 		hs.used = resizeFloats(hs.used, nc)
 		out, used = hs.out, hs.used
-		hs.ensureInner(h, nc)
+		hs.ensureInner(h, nc, k, in.NumModes())
 	} else {
 		out = make(modes.Vector, n)
 		used = make([]float64, nc)
@@ -267,7 +329,9 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	}
 
 	// Slack redistribution: clusters never spend their exact share, so the
-	// aggregate remainder is re-offered to each cluster in turn.
+	// aggregate remainder is re-offered to each cluster in turn. An offer
+	// inside the certificate of the cluster's last solve is answered by the
+	// vector it holds, which a re-solve would return bit for bit.
 	passes := h.RebalancePasses
 	if passes == 0 {
 		passes = 2
@@ -282,6 +346,10 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 			slack := in.BudgetW - spent
 			if slack <= eps {
 				break
+			}
+			if hs != nil && hs.links[i].cert.holds(used[i]+slack) {
+				hs.reuses++
+				continue
 			}
 			s := sub(i, used[i]+slack)
 			v, ist := solveCluster(i, s)

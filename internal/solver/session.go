@@ -53,6 +53,10 @@ type SessionStats struct {
 	// Pruned/Nodes the incumbent-prune rate.
 	Nodes  int64
 	Pruned int64
+	// ClusterReuses counts Hier rebalance offers a cluster answered without
+	// solving: the offered budget lay inside the certificate of the
+	// cluster's last solve, so that solve's vector is the answer.
+	ClusterReuses int64
 }
 
 // Session owns the cross-interval state that makes consecutive decisions
@@ -85,11 +89,12 @@ type Session struct {
 	nodeBudget int64
 	cp         *Checkpoint
 
-	// memo is a 2-entry ring of recently solved instances (two entries so
-	// Hier's rebalance passes, which alternate share and share+slack budgets
-	// per cluster, both hit). Entries hold session-owned copies of the
-	// matrices: callers reuse their matrix backing arrays in place between
-	// intervals, so stored references would always compare equal.
+	// memo is a 2-entry ring of recently solved instances, so two
+	// alternating instances both hit. Entries hold session-owned copies of
+	// the matrices: callers reuse their matrix backing arrays in place
+	// between intervals, so stored references would always compare equal.
+	// Hier's cluster sessions run without it: their rebalance offers are
+	// answered by certificates instead (budgetCert).
 	memoOK   bool
 	memo     [2]memoEntry
 	memoNext int
@@ -109,15 +114,12 @@ type Session struct {
 	// (hierState.sharesStable).
 	lastStable bool
 
-	gs   greedyScratch
+	gs   walkScratch
 	bb   bbScratch
 	hier *hierState
-	// frontierKey, when non-zero, is set by a parent Hier to its decision
-	// number: every solve under one key carries bit-identical matrices (a
-	// cluster's initial solve and its rebalance rounds differ only in
-	// budget), so the BB frontier, which depends on the matrices alone, is
-	// built once per key. frontierBuilt is the key of the current frontier.
-	frontierKey, frontierBuilt uint64
+	// link is set on a Hier cluster's session: the decision state its parent
+	// shares with it, and where its solves leave their certificates.
+	link *clusterLink
 
 	stats  SessionStats
 	closed bool
@@ -152,13 +154,60 @@ type memoEntry struct {
 	mismatch int
 }
 
+// clusterLink is the state a parent Hier shares with one cluster's session.
+type clusterLink struct {
+	// decision is the parent's decision number and built the decision whose
+	// matrices the cluster's BB frontier was built from. Every solve of one
+	// decision sees bit-identical matrices (the initial solve and the
+	// rebalance offers differ only in budget), and the frontier depends on
+	// the matrices alone, so it is built once per decision.
+	decision, built uint64
+	// cert is the certificate of the cluster's last solve (see budgetCert).
+	cert budgetCert
+}
+
+// budgetCert is a budget interval [lo, hi) on which a completed solve's
+// vector provably stays the answer to the same matrices: for every budget
+// in it, a cold BB (of the session's tie mode) returns the same vector.
+//
+//   - lo is the answer's own power, and the chip power after each upgrade
+//     the greedy seed accepted: below it, the answer or the seed changes.
+//   - hi is the least of: the power after each upgrade the seed rejected;
+//     the power of each infeasible leaf whose throughput beat the pruning
+//     floor; for each bound-pruned node, the budget at which its
+//     relaxation, rising at most at the water-fill's current slope, could
+//     reach the floor: budget + (floor − ub) ÷ slope; and for each
+//     feasibility-pruned node, its minimum completion power less the
+//     pruning slack, plus the same climb from its base points' throughput
+//     when that does not beat the floor (bbState.infeasibleHi).
+//
+// On [lo, hi) the seed is the same vector, the answer stays feasible, and no
+// vector of strictly higher throughput fits, so the set of optima is the
+// same; BB returns a function of those two (the seed when it is optimal,
+// the lexicographically first optimum otherwise), so it returns the same
+// vector. Only a solve that ran to completion, seed included, certifies.
+type budgetCert struct {
+	lo, hi float64
+	ok     bool
+}
+
+// holds reports that the certificate covers budget b.
+func (c budgetCert) holds(b float64) bool { return c.ok && c.lo <= b && b < c.hi }
+
 // NewSession builds a stateful solving session over s. Deadline wrappers are
 // unwrapped and their wall/node budgets applied per Solve (tightest layer
 // wins), exactly like Deadline.Solve. The memo is enabled for stateless
 // solvers only: BB, Exhaustive, Greedy, and Hier with Alpha == 0 — a
 // share-smoothing Hier must re-solve so its share state keeps evolving.
 func NewSession(s Solver) *Session {
-	ses := &Session{solver: s}
+	ses := &Session{}
+	ses.init(s)
+	return ses
+}
+
+// init sets up a zero Session over s (see NewSession).
+func (ses *Session) init(s Solver) {
+	ses.solver = s
 	base := s
 	for {
 		d, ok := base.(*Deadline)
@@ -184,7 +233,6 @@ func NewSession(s Solver) *Session {
 	case Exhaustive, Greedy:
 		ses.memoOK = true
 	}
-	return ses
 }
 
 // Stats returns the session's cumulative counters.
@@ -220,15 +268,15 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	if s.hier != nil {
-		for _, c := range s.hier.inner {
-			c.Close()
+		for i := range s.hier.inner {
+			s.hier.inner[i].Close()
 		}
 		s.hier = nil
 	}
 	for i := range s.memo {
 		s.memo[i] = memoEntry{}
 	}
-	s.gs = greedyScratch{}
+	s.gs = walkScratch{}
 	s.bb = bbScratch{}
 }
 
@@ -286,6 +334,8 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 		v, st = s.solveBB(b, in, h, warm, cp)
 	case *Hier:
 		v, st = b.solveWith(in, cp, s.hier, h)
+		s.stats.ClusterReuses += s.hier.reuses
+		s.hier.reuses = 0
 	case Greedy:
 		v, st = s.solveGreedy(b, in, cp)
 	default:
@@ -317,19 +367,31 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	return v, st
 }
 
-// solveBB is the warm BB path: scratch-built frontier, heap greedy seed, and
-// the hint as an extra pruning floor. Non-finite instances take the cold
-// path — the fast sorts and the heap kernel assume totally ordered keys.
+// solveBB is the warm BB path: scratch-built frontier, sorted-walk greedy
+// seed, and the hint as an extra pruning floor. Non-finite instances take
+// the cold path — the fast sorts and the walk assume totally ordered keys.
+// A Hier cluster's solve also leaves its budget certificate in its link.
 func (s *Session) solveBB(b *BB, in Instance, h Hint, warm bool, cp *Checkpoint) (modes.Vector, Stats) {
 	start := time.Now()
+	l := s.link
+	if l != nil {
+		l.cert.ok = false
+	}
 	if in.NumCores() == 0 || !finiteInstance(in) {
 		return b.SolveBounded(in, cp)
 	}
-	if s.frontierKey == 0 || s.frontierKey != s.frontierBuilt {
+	if l == nil || l.built != l.decision {
 		s.bb.frontier.build(in, true)
-		s.frontierBuilt = s.frontierKey
+		if l != nil {
+			l.built = l.decision
+		}
 	}
-	gv, _, _ := heapGreedy(in, cp, &s.gs)
+	var cert *budgetCert
+	if l != nil {
+		cert = &l.cert
+		*cert = budgetCert{lo: math.Inf(-1), hi: math.Inf(1)}
+	}
+	gv, _, seedAborted := greedyWalk(in, cp, &s.gs, cert)
 	warmFloor := math.Inf(-1)
 	if warm {
 		if hp := in.VectorPower(h.Vector); hp <= in.BudgetW {
@@ -337,16 +399,19 @@ func (s *Session) solveBB(b *BB, in Instance, h Hint, warm bool, cp *Checkpoint)
 			s.stats.WarmFloored++
 		}
 	}
-	return b.solveFrom(in, cp, &s.bb, gv, warmFloor, start)
+	if seedAborted {
+		cert = nil
+	}
+	return b.solveFrom(in, cp, &s.bb, gv, warmFloor, start, cert)
 }
 
-// solveGreedy swaps the O(n²·m) scan for the O(n·m·log n) heap kernel.
+// solveGreedy swaps the O(n²·m) scan for the O(n·m·log n) sorted walk.
 func (s *Session) solveGreedy(g Greedy, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	if !finiteInstance(in) {
 		return g.SolveBounded(in, cp)
 	}
 	start := time.Now()
-	v, nodes, aborted := heapGreedy(in, cp, &s.gs)
+	v, nodes, aborted := greedyWalk(in, cp, &s.gs, nil)
 	st := Stats{Solver: g.Name(), Nodes: nodes, Elapsed: time.Since(start)}
 	st.Aborted = aborted
 	return v, st
@@ -371,8 +436,8 @@ func usableHint(in Instance, h Hint) bool {
 
 // finiteInstance reports that the budget and every matrix entry are finite.
 // The warm paths require it: NaNs have no defined order under the fast
-// sorts and the candidate heap, so non-finite instances fall back to the
-// cold kernels (which the memo also never caches: NaN compares unequal).
+// sorts and the sorted walk, so non-finite instances fall back to the cold
+// kernels (which the memo also never caches: NaN compares unequal).
 func finiteInstance(in Instance) bool {
 	if !finite(in.BudgetW) {
 		return false
@@ -726,6 +791,9 @@ func matricesEqual(in Instance, power, instr []float64, m int) bool {
 }
 
 func copyMatrix(dst []float64, rows [][]float64, flat []float64, nm int) []float64 {
+	if cap(dst) < nm {
+		dst = make([]float64, 0, nm)
+	}
 	if len(flat) == nm {
 		return append(dst, flat...)
 	}
@@ -733,146 +801,6 @@ func copyMatrix(dst []float64, rows [][]float64, flat []float64, nm int) []float
 		dst = append(dst, row...)
 	}
 	return dst
-}
-
-// greedyScratch is the heap kernel's reusable state.
-type greedyScratch struct {
-	v     modes.Vector
-	heap  []gcand
-	stash []gcand
-}
-
-// gcand is one core's pending single-step upgrade.
-type gcand struct {
-	ratio float64
-	dp    float64
-	core  int32
-}
-
-// candLess orders the candidate heap: higher ratio first, lower core on
-// ties — exactly the candidate greedySolve's first-maximum scan selects.
-func candLess(a, b gcand) bool {
-	if a.ratio != b.ratio {
-		return a.ratio > b.ratio
-	}
-	return a.core < b.core
-}
-
-func (g *greedyScratch) push(c gcand) {
-	g.heap = append(g.heap, c)
-	i := len(g.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !candLess(g.heap[i], g.heap[p]) {
-			break
-		}
-		g.heap[i], g.heap[p] = g.heap[p], g.heap[i]
-		i = p
-	}
-}
-
-func (g *greedyScratch) pop() gcand {
-	h := g.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	g.heap = h
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			break
-		}
-		c := l
-		if r := l + 1; r < len(h) && candLess(h[r], h[l]) {
-			c = r
-		}
-		if !candLess(h[c], h[i]) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	return top
-}
-
-// heapGreedy computes greedySolve's exact upgrade sequence in O(n·m·log n)
-// instead of O(n²·m): one pending upgrade per core lives in a max-heap keyed
-// (ratio desc, core asc) — the same candidate the scan's strict first-maximum
-// rule selects each pass. Infeasible pops are stashed and reconsidered only
-// when an applied upgrade *lowers* chip power (with non-negative deltas,
-// infeasibility is monotone, so a stashed candidate can never fit again).
-// Callers must pre-check finiteInstance: a NaN ratio has no heap order.
-// The returned vector aliases g.v. Like greedySolve, the aborted result
-// reports this solve's own checkpoint trips, not the shared latched flag.
-func heapGreedy(in Instance, cp *Checkpoint, g *greedyScratch) (_ modes.Vector, nodes int64, aborted bool) {
-	n := in.NumCores()
-	if cap(g.v) < n {
-		g.v = make(modes.Vector, n)
-	}
-	g.v = g.v[:n]
-	v := g.v
-	deep := modes.Mode(in.NumModes() - 1)
-	for c := range v {
-		v[c] = deep
-	}
-	power := in.VectorPower(v)
-	if power > in.BudgetW {
-		return v, nodes, false // even the floor exceeds the budget
-	}
-	g.heap = g.heap[:0]
-	g.stash = g.stash[:0]
-	for c := 0; c < n; c++ {
-		if v[c] == 0 {
-			continue
-		}
-		dp, ratio := upgradeDelta(in.Power[c], in.Instr[c], v[c])
-		nodes++
-		g.push(gcand{ratio: ratio, dp: dp, core: int32(c)})
-	}
-	if cp.Visit(nodes) {
-		return v, nodes, true
-	}
-	for {
-		var examined int64
-		sel := gcand{core: -1}
-		for len(g.heap) > 0 {
-			if !(g.heap[0].ratio > -1.0) {
-				break // below the scan's selection floor: nothing qualifies
-			}
-			top := g.pop()
-			examined++
-			if power+top.dp > in.BudgetW {
-				g.stash = append(g.stash, top)
-				continue
-			}
-			sel = top
-			break
-		}
-		nodes += examined
-		if cp.Visit(examined) {
-			return v, nodes, true
-		}
-		if sel.core < 0 {
-			return v, nodes, false
-		}
-		c := int(sel.core)
-		v[c]--
-		power += sel.dp
-		if sel.dp < 0 {
-			// Chip power went down: stashed upgrades may fit again.
-			for _, st := range g.stash {
-				g.push(st)
-			}
-			g.stash = g.stash[:0]
-		}
-		if v[c] > 0 {
-			dp, ratio := upgradeDelta(in.Power[c], in.Instr[c], v[c])
-			nodes++
-			g.push(gcand{ratio: ratio, dp: dp, core: int32(c)})
-		}
-	}
 }
 
 // resizeFloats returns a zeroed slice of length n, reusing s's backing when

@@ -42,29 +42,66 @@ func driftInstance(rng *rand.Rand, in Instance) Instance {
 // registry can build, including the LexTies BB whose tie representative is
 // the most fragile property a warm floor could disturb. The wide hier case
 // (32 clusters of 8) drives the child sessions' frontier reuse across each
-// decision's initial and rebalance solves.
+// decision's initial and rebalance solves. The hier cases that follow
+// stress the rebalance offers a certificate answers without a solve: the
+// 90 → 60 % budget step of the 1024-core benchmark under drifting
+// telemetry, and replicated integer rows held still while the budget moves,
+// where vectors tie exactly on (throughput, power) in both tie modes.
 func TestWarmVsColdBitIdentical(t *testing.T) {
 	type cfg struct {
 		name string
 		mk   func() Solver
 		n    int
+		// start and next, when set, replace randInstance and driftInstance.
+		start func(seed int64, rng *rand.Rand) Instance
+		next  func(rng *rand.Rand, in Instance, step int) Instance
+	}
+	budgetStep := func(rng *rand.Rand, in Instance, step int) Instance {
+		var turbo float64
+		for c := range in.Power {
+			turbo += in.Power[c][0]
+		}
+		out := driftInstance(rng, in)
+		out.BudgetW = 0.9 * turbo
+		if step >= 5 {
+			out.BudgetW = 0.6 * turbo
+		}
+		return out
+	}
+	tied := func(seed int64, rng *rand.Rand) Instance { return tiedInstance(rng, 24, plan3()) }
+	budgetMoves := func(rng *rand.Rand, in Instance, step int) Instance {
+		if rng.Intn(4) > 0 {
+			in.BudgetW = math.Floor(in.BudgetW*(0.8+0.4*rng.Float64())) + 0.5*float64(rng.Intn(2))
+		}
+		return in
 	}
 	cfgs := []cfg{
-		{"bb", func() Solver { return &BB{} }, 12},
-		{"bb-lexties", func() Solver { return &BB{LexTies: true} }, 10},
-		{"hier", func() Solver { return &Hier{ClusterSize: 4} }, 12},
-		{"hier-wide", func() Solver { return &Hier{ClusterSize: 8} }, 256},
-		{"greedy", func() Solver { return Greedy{} }, 16},
-		{"exhaustive", func() Solver { return Exhaustive{} }, 7},
+		{name: "bb", mk: func() Solver { return &BB{} }, n: 12},
+		{name: "bb-lexties", mk: func() Solver { return &BB{LexTies: true} }, n: 10},
+		{name: "hier", mk: func() Solver { return &Hier{ClusterSize: 4} }, n: 12},
+		{name: "hier-wide", mk: func() Solver { return &Hier{ClusterSize: 8} }, n: 256},
+		{name: "greedy", mk: func() Solver { return Greedy{} }, n: 16},
+		{name: "exhaustive", mk: func() Solver { return Exhaustive{} }, n: 7},
+		{name: "hier-wide-budget-step", mk: func() Solver { return &Hier{ClusterSize: 8} }, n: 256,
+			start: func(seed int64, rng *rand.Rand) Instance { return randInstance(seed+400, 256, plan3(), 0.9) },
+			next:  budgetStep},
+		{name: "hier-tied", mk: func() Solver { return &Hier{ClusterSize: 4} }, start: tied, next: budgetMoves},
+		{name: "hier-tied-lexties", mk: func() Solver { return &Hier{ClusterSize: 4, Inner: &BB{LexTies: true}} },
+			start: tied, next: budgetMoves},
 	}
-	const seeds = 4 // × 6 configs = 24 drift sequences
+	const seeds = 4 // × 9 configs = 36 drift sequences
 	const steps = 12
 	for _, c := range cfgs {
 		for seed := int64(0); seed < seeds; seed++ {
 			cold := c.mk()
 			ses := NewSession(c.mk())
 			rng := rand.New(rand.NewSource(1000*seed + 7))
-			in := randInstance(seed+300, c.n, plan3(), 0.55+0.3*rng.Float64())
+			var in Instance
+			if c.start != nil {
+				in = c.start(seed, rng)
+			} else {
+				in = randInstance(seed+300, c.n, plan3(), 0.55+0.3*rng.Float64())
+			}
 			var hint Hint
 			for step := 0; step < steps; step++ {
 				cv, _ := cold.Solve(in)
@@ -77,7 +114,11 @@ func TestWarmVsColdBitIdentical(t *testing.T) {
 					t.Fatalf("%s seed %d step %d: unbudgeted session solve aborted", c.name, seed, step)
 				}
 				hint = Hint{Vector: wv.Clone(), Instr: in.VectorInstr(wv)}
-				in = driftInstance(rng, in)
+				if c.next != nil {
+					in = c.next(rng, in, step+1)
+				} else {
+					in = driftInstance(rng, in)
+				}
 			}
 			ses.Close()
 		}
@@ -235,6 +276,20 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("warm hier drift steady state allocates %.1f/op, want 0", allocs)
+		}
+	})
+	t.Run("hier-first-solve", func(t *testing.T) {
+		// A fresh session's first 1024-core decision sizes its 128 cluster
+		// sessions from shared slabs: 22 allocations in all, where growing
+		// each cluster's buffers on first use took about 5,900.
+		in := randInstance(16, 1024, plan, 0.8)
+		allocs := testing.AllocsPerRun(3, func() {
+			ses := NewSession(&Hier{ClusterSize: 8})
+			ses.Solve(in, Hint{})
+			ses.Close()
+		})
+		if allocs > 32 {
+			t.Fatalf("first hier solve allocates %.0f, want at most 32", allocs)
 		}
 	})
 	t.Run("memo-hit", func(t *testing.T) {

@@ -246,8 +246,7 @@ func (g Greedy) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) 
 // cur−1, given its power and instruction rows: the power delta and the
 // ΔBIPS/ΔPower ratio under the greedy kernel's conventions (near-zero
 // ΔPower with positive ΔBIPS reads as free throughput). Shared by the scan
-// and heap greedy implementations so their candidate orderings agree
-// bit-for-bit. It takes rows rather than the Instance so the inlined call
+// and the sorted walk so their candidate orderings agree bit-for-bit. It takes rows rather than the Instance so the inlined call
 // does not copy the instance per candidate.
 func upgradeDelta(power, instr []float64, cur modes.Mode) (dp, ratio float64) {
 	up := cur - 1

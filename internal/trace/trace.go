@@ -366,15 +366,18 @@ func (l *Library) Profile(name string) (*Profile, error) {
 	return pr, nil
 }
 
-// Players builds fresh players for a benchmark combination.
+// Players builds fresh players for a benchmark combination, all in one
+// backing slab.
 func (l *Library) Players(combo workload.Combo) ([]*Player, error) {
 	out := make([]*Player, combo.Cores())
+	slab := make([]Player, combo.Cores())
 	for i, name := range combo.Benchmarks {
 		pr, err := l.Profile(name)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = NewPlayer(pr)
+		slab[i] = Player{pr: pr}
+		out[i] = &slab[i]
 	}
 	return out, nil
 }
