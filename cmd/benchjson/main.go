@@ -30,9 +30,13 @@
 //     rows (the issue's hard numbers, independent of any baseline);
 //   - -ratio "A<=F*B" relates two fresh rows: the row matching regex A must
 //     run in at most F times the ns/op of the row matching regex B (the
-//     ≥10×-faster-than-full-solve contract, machine-relative by design).
+//     ≥10×-faster-than-full-solve contract, machine-relative by design). A
+//     side written "regex:unit" reads that b.ReportMetric unit in place of
+//     ns/op, so both sides may name one row that times two things; the
+//     unit is what follows the last ':', so a regexp holding a ':' of its
+//     own spells its unit out ("(?:a|b):ns/op").
 //
-// The -ns-match and -ratio gates read a row's median ns/op over its repeats,
+// The -ns-match and -ratio gates read a row's median over its repeats,
 // so a leg run with `go test -count N` is judged on the median of N samples
 // rather than on one that met a burst of host noise. -repeats N makes every
 // row those gates read carry at least N samples, so a leg whose later
@@ -219,7 +223,7 @@ func checkBaseline(fresh []Result, path, match string, slack float64, nsMatch st
 		}
 		if nsRow && !nsDone[r.Name] {
 			nsDone[r.Name] = true
-			got, k := medianNS(fresh, r.Name)
+			got, k := median(fresh, r.Name, "ns/op")
 			want, wok := b.Metrics["ns/op"]
 			if k > 0 && wok {
 				nsCompared++
@@ -286,12 +290,12 @@ func checkCaps(fresh []Result, spec string) error {
 	return nil
 }
 
-// medianNS returns the median ns/op over the fresh rows named name and how
-// many there were (go test -count N repeats each row N times).
-func medianNS(fresh []Result, name string) (float64, int) {
+// median returns the median of metric unit over the fresh rows named name
+// and how many there were (go test -count N repeats each row N times).
+func median(fresh []Result, name, unit string) (float64, int) {
 	var xs []float64
 	for _, r := range fresh {
-		if v, ok := r.Metrics["ns/op"]; ok && r.Name == name {
+		if v, ok := r.Metrics[unit]; ok && r.Name == name {
 			xs = append(xs, v)
 		}
 	}
@@ -316,8 +320,12 @@ func checkRepeats(fresh []Result, n int, nsMatch, ratioSpec string) error {
 	if nsMatch != "" {
 		exprs = append(exprs, nsMatch)
 	}
-	if le, star := strings.Index(ratioSpec, "<="), strings.Index(ratioSpec, "*"); le >= 0 && star > le {
-		exprs = append(exprs, ratioSpec[:le], ratioSpec[star+1:])
+	if ratioSpec != "" {
+		a, b, _, err := parseRatio(ratioSpec)
+		if err != nil {
+			return err
+		}
+		exprs = append(exprs, a.expr, b.expr)
 	}
 	counts := map[string]int{}
 	var names []string
@@ -343,57 +351,75 @@ func checkRepeats(fresh []Result, n int, nsMatch, ratioSpec string) error {
 	return nil
 }
 
+// ratioSide is one side of a -ratio spec: a row regexp and the metric it
+// reads ("regex" reads ns/op, "regex:unit" reads unit).
+type ratioSide struct{ expr, unit string }
+
+// parseRatio splits a -ratio spec "A<=F*B" into its sides and factor.
+func parseRatio(spec string) (a, b ratioSide, f float64, err error) {
+	le := strings.Index(spec, "<=")
+	star := strings.Index(spec, "*")
+	if le < 0 || star < le {
+		return a, b, 0, fmt.Errorf("bad -ratio %q (want A<=F*B)", spec)
+	}
+	if f, err = strconv.ParseFloat(spec[le+2:star], 64); err != nil {
+		return a, b, 0, fmt.Errorf("bad -ratio factor in %q: %v", spec, err)
+	}
+	side := func(s string) ratioSide {
+		if i := strings.LastIndex(s, ":"); i >= 0 {
+			return ratioSide{s[:i], s[i+1:]}
+		}
+		return ratioSide{s, "ns/op"}
+	}
+	return side(spec[:le]), side(spec[star+1:]), f, nil
+}
+
 // checkRatio enforces a cross-row speedup: spec "A<=F*B" requires the unique
-// fresh row name matching regex A to report at most F times the ns/op of the
-// unique fresh row name matching regex B, each read as the median over the
+// fresh row name matching side A to report at most F times the metric of the
+// unique fresh row name matching side B, each read as the median over the
 // row's repeats.
 func checkRatio(fresh []Result, spec string) error {
 	if spec == "" {
 		return nil
 	}
-	le := strings.Index(spec, "<=")
-	star := strings.Index(spec, "*")
-	if le < 0 || star < le {
-		return fmt.Errorf("bad -ratio %q (want A<=F*B)", spec)
-	}
-	f, err := strconv.ParseFloat(spec[le+2:star], 64)
+	sa, sb, f, err := parseRatio(spec)
 	if err != nil {
-		return fmt.Errorf("bad -ratio factor in %q: %v", spec, err)
+		return err
 	}
-	find := func(expr string) (string, float64, int, error) {
-		sel, err := regexp.Compile(expr)
+	find := func(s ratioSide) (string, float64, int, error) {
+		sel, err := regexp.Compile(s.expr)
 		if err != nil {
-			return "", 0, 0, fmt.Errorf("bad -ratio regexp %q: %v", expr, err)
+			return "", 0, 0, fmt.Errorf("bad -ratio regexp %q: %v", s.expr, err)
 		}
 		var hit string
 		for _, r := range fresh {
-			if _, ok := r.Metrics["ns/op"]; ok && sel.MatchString(r.Name) {
+			if _, ok := r.Metrics[s.unit]; ok && sel.MatchString(r.Name) {
 				if hit != "" && hit != r.Name {
-					return "", 0, 0, fmt.Errorf("-ratio regexp %q matches both %s and %s", expr, hit, r.Name)
+					return "", 0, 0, fmt.Errorf("-ratio regexp %q matches both %s and %s", s.expr, hit, r.Name)
 				}
 				hit = r.Name
 			}
 		}
 		if hit == "" {
-			return "", 0, 0, fmt.Errorf("-ratio regexp %q matched no fresh row", expr)
+			return "", 0, 0, fmt.Errorf("-ratio regexp %q matched no fresh row reporting %s", s.expr, s.unit)
 		}
-		ns, k := medianNS(fresh, hit)
-		return hit, ns, k, nil
+		v, k := median(fresh, hit, s.unit)
+		return hit, v, k, nil
 	}
-	a, aNS, aK, err := find(spec[:le])
+	a, av, ak, err := find(sa)
 	if err != nil {
 		return err
 	}
-	b, bNS, bK, err := find(spec[star+1:])
+	b, bv, bk, err := find(sb)
 	if err != nil {
 		return err
 	}
-	if aNS > f*bNS {
-		return fmt.Errorf("RATIO %s: median %g ns/op of %d exceeds %g × %s (median %g ns/op of %d)",
-			a, aNS, aK, f, b, bNS, bK)
+	if av > f*bv {
+		return fmt.Errorf("RATIO %s: median %g %s of %d exceeds %g × %s (median %g %s of %d)",
+			a, av, sa.unit, ak, f, b, bv, sb.unit, bk)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: ok %s: median %g ns/op of %d ≤ %g × %s (median %g ns/op of %d; ratio %.2f)\n",
-		a, aNS, aK, f, b, bNS, bK, aNS/bNS)
+	fmt.Fprintf(os.Stderr, "benchjson: ok %s: median %g %s of %d ≤ %g × %s (median %g %s of %d; ratio %.2f)\n",
+		a, av, sa.unit, ak, f, b, bv, sb.unit, bk, av/bv)
 	return nil
 }
 

@@ -201,6 +201,36 @@ func TestCheckRatio(t *testing.T) {
 	}
 }
 
+// TestCheckRatioUnits pins the "regex:unit" side: both sides may read two
+// custom metrics of one row, each as the median over the row's repeats, and
+// -repeats counts that row's samples under its bare regexp.
+func TestCheckRatioUnits(t *testing.T) {
+	paired := "BenchmarkSolverWarm/hier-drift-paired/cores=1024"
+	row := func(hier, heap float64) Result {
+		return Result{Name: paired, Metrics: map[string]float64{"ns/op": hier + heap, "hier-ns/op": hier, "heap-ns/op": heap}}
+	}
+	rows := []Result{row(9e5, 3e5), row(1.2e6, 2.5e5), row(8e5, 2.8e5)} // medians 9e5 and 2.8e5: 3.2×
+	spec := func(f string) string { return "hier-drift-paired:hier-ns/op<=" + f + "*hier-drift-paired:heap-ns/op" }
+	if err := checkRatio(rows, spec("4")); err != nil {
+		t.Fatalf("median ratio 3.2× rejected by a 4× gate: %v", err)
+	}
+	if err := checkRatio(rows, spec("3")); err == nil {
+		t.Fatal("median ratio 3.2× passed a 3× gate")
+	}
+	if err := checkRatio(rows, "hier-drift-paired:hier-ns/op<=4*hier-drift-paired:nodes/op"); err == nil {
+		t.Fatal("a side whose unit no row reports must fail")
+	}
+	if err := checkRatio(rows, "(?:hier-drift-paired):hier-ns/op<=4*hier-drift-paired:heap-ns/op"); err != nil {
+		t.Fatalf("a regexp with its own ':' and a spelled-out unit rejected: %v", err)
+	}
+	if err := checkRepeats(rows, 3, "", spec("4")); err != nil {
+		t.Fatalf("three samples rejected by -repeats 3: %v", err)
+	}
+	if err := checkRepeats(rows[:2], 3, "", spec("4")); err == nil {
+		t.Fatal("two samples passed -repeats 3")
+	}
+}
+
 // TestCheckMedianOfRepeats pins that the -ratio and -ns-match gates read the
 // median of a row's repeats (go test -count N): one outlying sample neither
 // fails nor passes a gate on its own.
@@ -214,11 +244,11 @@ func TestCheckMedianOfRepeats(t *testing.T) {
 		row(hier, 1.7e6), row(greedy, 2.3e5), // the outlier: 7.4× on its own
 		row(hier, 1.25e6), row(greedy, 2.5e5),
 	}
-	if ns, k := medianNS(rows, hier); ns != 1.25e6 || k != 3 {
-		t.Fatalf("medianNS = %g of %d, want 1.25e6 of 3", ns, k)
+	if ns, k := median(rows, hier, "ns/op"); ns != 1.25e6 || k != 3 {
+		t.Fatalf("median = %g of %d, want 1.25e6 of 3", ns, k)
 	}
-	if ns, k := medianNS(rows[:4], hier); ns != 1.45e6 || k != 2 {
-		t.Fatalf("even-count medianNS = %g of %d, want 1.45e6 of 2", ns, k)
+	if ns, k := median(rows[:4], hier, "ns/op"); ns != 1.45e6 || k != 2 {
+		t.Fatalf("even-count median = %g of %d, want 1.45e6 of 2", ns, k)
 	}
 	if err := checkRatio(rows, "hier-drift<=7*greedy-drift"); err != nil {
 		t.Fatalf("median ratio 5.2× rejected by a 7× gate: %v", err)

@@ -68,7 +68,7 @@ var (
 	flagSeed      = flag.Int64("seed", 1, "base PRNG seed for 'chaos' fault schedules")
 	flagRuns      = flag.Int("runs", 2, "randomized fault schedules per policy×budget cell for 'chaos'")
 	flagIntervals = flag.Int("intervals", 0, "explore intervals per 'chaos' run (0 = default 25)")
-	flagDeadline  = flag.Duration("deadline", 0, "per-decision wall-clock deadline for 'chaos' (0 = deterministic node-budget mode; >0 arms the watchdog and injected solver stalls, disabling the bit-identical-rerun monitor)")
+	flagDeadline  = flag.Duration("deadline", 0, "per-decision wall-clock deadline for 'chaos' (0 = no watchdog, deterministic reruns; >0 arms the watchdog and injected solver stalls, disabling the bit-identical-rerun monitor)")
 	flagFullsim   = flag.Bool("fullsim", false, "also soak the cycle-level substrate in 'chaos'")
 )
 

@@ -20,7 +20,6 @@ import (
 	"gpm/internal/fault"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
-	"gpm/internal/solver"
 	"gpm/internal/thermal"
 	"gpm/internal/trace"
 	"gpm/internal/workload"
@@ -33,10 +32,6 @@ type Options struct {
 	Budget func(t time.Duration) float64
 	// Policy decides mode vectors at explore boundaries.
 	Policy core.Policy
-	// Solver, when non-nil and Policy is nil, runs the simulation under a
-	// MaxBIPS-objective policy backed by this internal/solver allocation
-	// solver (equivalent to Policy: core.SolverPolicy{Solver: Solver}).
-	Solver solver.Solver
 	// Predictor builds the §5.5 matrices. Zero value fields are filled from
 	// the library's plan and config.
 	Predictor core.Predictor
@@ -212,19 +207,6 @@ func build(lib *trace.Library, combo workload.Combo, opt Options) (engine.Substr
 		if err := opt.History.Validate(); err != nil {
 			return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "History", Value: "", Reason: err.Error()}
 		}
-	}
-	if opt.Policy == nil && opt.Solver != nil {
-		sol := opt.Solver
-		// Under a supervisor deadline the solver itself becomes bounded: half
-		// the supervisor's wall budget, so a cooperative abort normally lands
-		// before the watchdog has to abandon the goroutine.
-		if s := opt.Supervisor; s != nil && (s.Deadline > 0 || s.NodeBudget > 0) {
-			sol = solver.WithDeadline(sol, s.Deadline/2, s.NodeBudget)
-		}
-		// Session-capable: the engine loop adopting this policy creates a
-		// warm-start solver session and owns its lifecycle. Result-invariant
-		// vs the cold value policy (the goldens pin it).
-		opt.Policy = core.NewSolverPolicy(sol)
 	}
 	if opt.Policy == nil && !replaying {
 		return nil, engine.Options{}, fmt.Errorf("cmpsim: no policy")

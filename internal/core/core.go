@@ -250,14 +250,14 @@ type Context struct {
 	// ExploreSeconds is the decision interval length, for policies that
 	// reason about transition overheads directly.
 	ExploreSeconds float64
-	// Hint is the mode vector actually actuated for the previous interval,
-	// when the caller (the engine loop) considers it a valid warm-start seed
-	// — nil on the first decision and after discontinuities (supervisor
-	// degradation, budget spikes, core death). Session-owning policies pass
-	// it to solver.Session.Solve, which re-validates it against the current
-	// instance; a hint can therefore accelerate a decision but never change
-	// its result.
-	Hint modes.Vector
+	// Warm reports that the caller (the engine loop) considers Current, the
+	// mode vector actually actuated for the previous interval, a valid
+	// warm-start seed — false on the first decision and after
+	// discontinuities (supervisor degradation, budget spikes, core death).
+	// Session-owning policies then pass Current to solver.Session.Solve as
+	// the hint, which re-validates it against the current instance; a hint
+	// can therefore accelerate a decision but never change its result.
+	Warm bool
 	// Scratch, when non-nil, is working memory the Manager lends the policy
 	// for this decision. The built-in policies build their answer in it, so
 	// a steady-state decision allocates nothing; a Context built without it

@@ -36,10 +36,10 @@ type Decision struct {
 	// it; the engine's decision supervisor uses it to align injected decision
 	// stalls (fault.SolverStall) with the simulated clock.
 	Now time.Duration
-	// Hint is the previously actuated mode vector when the engine considers
-	// it a valid warm-start seed (nil otherwise); forwarded to the policy
-	// via Context.Hint.
-	Hint modes.Vector
+	// Warm reports that the engine considers Current, the previously
+	// actuated vector, a valid warm-start seed; forwarded to the policy via
+	// Context.Warm.
+	Warm bool
 }
 
 // Report is a decider's account of one decision, returned beside the vector.
@@ -98,7 +98,7 @@ func (g *Manager) Decide(d Decision) (modes.Vector, Report) {
 		Lookahead:      d.Lookahead,
 		MemBound:       d.MemBound,
 		ExploreSeconds: g.predictor.Explore(),
-		Hint:           d.Hint,
+		Warm:           d.Warm,
 		Scratch:        &g.scratch,
 	})
 	g.sanitize(cand, d.Samples)

@@ -38,17 +38,16 @@ func (mx Matrices) instance(plan modes.Plan, budgetW float64) solver.Instance {
 	return solver.Instance{Plan: plan, BudgetW: budgetW, Power: mx.Power, Instr: mx.Instr}
 }
 
-// GreedyMaxBIPS approximates MaxBIPS in O(cores² × modes) instead of
-// modes^cores: start from the all-deepest vector and repeatedly apply the
-// single-core, single-step upgrade with the best ΔBIPS/ΔPower ratio that
-// still fits the budget. It makes 64-core chips tractable (§5.5 notes the
-// superlinear state-space growth of exploration with mode count). The
-// search is solver.Greedy.
+// GreedyMaxBIPS approximates MaxBIPS in O(cores·modes·log(cores·modes))
+// instead of modes^cores: start from the all-deepest vector and repeatedly
+// apply the single-core, single-step upgrade with the best ΔBIPS/ΔPower
+// ratio that still fits the budget. It makes 64-core chips tractable (§5.5
+// notes the superlinear state-space growth of exploration with mode count).
+// The search is solver.Greedy.
 //
 // Tie-breaking is part of the contract: when several upgrades share the best
-// ΔBIPS/ΔPower ratio, the lowest core index wins (the scan keeps the first
-// maximum because the comparison is strict), so decisions are deterministic
-// even on symmetric (replicated-core) matrices.
+// ΔBIPS/ΔPower ratio, the lowest core index wins, so decisions are
+// deterministic even on symmetric (replicated-core) matrices.
 type GreedyMaxBIPS struct{}
 
 // Name implements Policy.

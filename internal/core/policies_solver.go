@@ -104,7 +104,11 @@ func (p SolverPolicy) Decide(ctx Context) modes.Vector {
 	var v modes.Vector
 	var stats solver.Stats
 	if p.session != nil {
-		v, stats = p.session.Solve(inst, solver.Hint{Vector: ctx.Hint})
+		var h solver.Hint
+		if ctx.Warm {
+			h.Vector = ctx.Current
+		}
+		v, stats = p.session.Solve(inst, h)
 	} else {
 		v, stats = p.Solver.Solve(inst)
 	}

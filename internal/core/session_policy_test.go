@@ -129,7 +129,8 @@ func TestSolverPolicySessionInvariance(t *testing.T) {
 	if !v1.Equal(cold) {
 		t.Fatalf("session Decide %v != cold %v", v1, cold)
 	}
-	c.Hint = v1
+	// The loop actuates v1 and hands it back as the warm vector in force.
+	c.Current, c.Warm = v1, true
 	if v2 := p.Decide(c); !v2.Equal(cold) {
 		t.Fatalf("hinted session Decide %v != cold %v", v2, cold)
 	}

@@ -72,7 +72,7 @@ type Substrate interface {
 // returns belongs to the decider and stays valid until its next Decide,
 // together with the report's Candidate. The loop copies it before then and
 // never mutates it, so a decider may return a buffer it reuses every
-// decision. Likewise d.Current, d.Hint and d.Samples belong to the loop: a
+// decision. Likewise d.Current and d.Samples belong to the loop: a
 // decider must not mutate them or keep them past the call.
 type Decider interface {
 	// Decide performs one explore-boundary decision and returns the next
@@ -391,9 +391,7 @@ func (l *Loop) decide() error {
 	}
 	l.prevDeadDone = deadDone
 	l.prevBudget = l.budget
-	var hint modes.Vector
 	if warm {
-		hint = l.current
 		res.Obs.WarmHints++
 	}
 	var t0 time.Time
@@ -408,7 +406,7 @@ func (l *Loop) decide() error {
 		Lookahead:  l.lookahead,
 		MemBound:   l.memBound,
 		Now:        l.now,
-		Hint:       hint,
+		Warm:       warm,
 	})
 	if rep.Emergency {
 		res.Obs.GuardOverrides++

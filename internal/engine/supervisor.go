@@ -34,13 +34,14 @@ type SupervisorConfig struct {
 	// Deadline, when positive, is the wall-clock budget per decision: the
 	// configured decider runs on a watchdog goroutine and is abandoned
 	// mid-solve (falling to rung 1) when the deadline passes. Wall-clock
-	// deadlines are inherently nondeterministic; use NodeBudget (and leave
-	// Deadline zero) when bit-identical reruns matter.
+	// deadlines are inherently nondeterministic; bound the solver by nodes
+	// (solver.WithDeadline) and leave Deadline zero when bit-identical
+	// reruns matter.
 	Deadline time.Duration
-	// NodeBudget is the deterministic per-decision solver node budget the
-	// front ends arm on the solver via solver.WithDeadline when wiring the
-	// supervisor. The supervisor itself does not enforce it — it is recorded
-	// here so one option struct carries the whole decision-bounding story.
+	// NodeBudget records the deterministic per-decision solver node budget
+	// of a supervised run. Nothing reads it to bound a solve, the supervisor
+	// included: callers arm their own solver with solver.WithDeadline (as
+	// the benchmark's supervised BB does) and may note the budget here.
 	NodeBudget int64
 	// ToleranceFrac is the conformance-gate tolerance (default 0.02,
 	// matching the guard's default OvershootFrac).
@@ -126,7 +127,6 @@ type supervisor struct {
 	timer       *time.Timer
 	workCurrent modes.Vector // worker-owned copies; written only while idle
 	workSamples []core.Sample
-	workHint    modes.Vector
 	busy        bool // an abandoned decision is still running
 
 	// The inner decider's solver session is single-goroutine state that the
@@ -161,7 +161,6 @@ func newSupervisor(cfg SupervisorConfig, inner Decider, inj *fault.Injector, n i
 		s.resC = make(chan decided, 1)
 		s.workCurrent = make(modes.Vector, n)
 		s.workSamples = make([]core.Sample, n)
-		s.workHint = make(modes.Vector, n)
 		s.timer = time.NewTimer(time.Hour)
 		if !s.timer.Stop() {
 			<-s.timer.C
@@ -273,10 +272,6 @@ func (s *supervisor) tryDecider(d core.Decision) (v modes.Vector, rep core.Repor
 	d.Current = s.workCurrent
 	copy(s.workSamples, d.Samples)
 	d.Samples = s.workSamples
-	if d.Hint != nil {
-		s.workHint = append(s.workHint[:0], d.Hint...)
-		d.Hint = s.workHint
-	}
 	d.Lookahead = nil
 	s.reqC <- d
 	s.timer.Reset(s.cfg.Deadline)

@@ -11,7 +11,8 @@ import (
 )
 
 // hintRecorder is a capturing policy: it decides like the wrapped policy but
-// records the warm hint each decision context carried.
+// records the warm hint each decision context carried: the vector in force
+// when the context is warm, nil when it is cold.
 type hintRecorder struct {
 	inner core.Policy
 	hints []modes.Vector
@@ -21,10 +22,10 @@ type hintRecorder struct {
 func (h *hintRecorder) Name() string { return "hint-recorder" }
 
 func (h *hintRecorder) Decide(c core.Context) modes.Vector {
-	if c.Hint == nil {
+	if !c.Warm {
 		h.hints = append(h.hints, nil)
 	} else {
-		h.hints = append(h.hints, c.Hint.Clone())
+		h.hints = append(h.hints, c.Current.Clone())
 	}
 	v := h.inner.Decide(c)
 	h.outs = append(h.outs, v.Clone())

@@ -100,10 +100,6 @@ type ChaosOptions struct {
 	// ToleranceFrac is the supervisor's conformance tolerance (0 = its
 	// default, 0.02); the monitors check against the same value.
 	ToleranceFrac float64
-	// NodeBudget is the deterministic per-decision solver bound, passed
-	// through to the supervisor config (meaningful for solver-backed
-	// policies).
-	NodeBudget int64
 	// Deadline, when positive, arms the wall-clock watchdog and adds wedged
 	// solver-stall windows to the fault schedules. Wall-clock deadlines are
 	// nondeterministic, so the bit-identical-rerun monitor is skipped.
@@ -438,7 +434,6 @@ func (e *Env) ChaosSoak(combo workload.Combo, opts ChaosOptions) (*ChaosReport, 
 	supCfg := func() *engine.SupervisorConfig {
 		return &engine.SupervisorConfig{
 			Deadline:      opts.Deadline,
-			NodeBudget:    opts.NodeBudget,
 			ToleranceFrac: opts.ToleranceFrac,
 		}
 	}

@@ -79,8 +79,8 @@ type hullPt struct{ p, i float64 }
 // is a total order whose restriction to (ratio, core) matches
 // sort.SliceStable's stable tie handling (pinned by
 // TestFrontierFastSortsBitIdentical). Non-finite entries (NaN keys) are only
-// handled by the stable sorts, so every caller gates the fast path on
-// finiteInstance.
+// handled by the stable sorts, so BB's body (BB.solve) passes fast only on a
+// finite instance.
 func (f *frontier) build(in Instance, fast bool) {
 	n, m := in.NumCores(), in.NumModes()
 	f.baseP = resizeFloats(f.baseP, n)
@@ -229,11 +229,9 @@ func (b *BB) Solve(in Instance) (modes.Vector, Stats) {
 // checkpoint in cpBatch batches; an exhausted checkpoint stops the DFS at
 // its incumbent, exactly like an exceeded NodeLimit.
 //
-// The solve borrows its frontier, greedy seed and DFS state from the
-// coldScratch free list, and builds the frontier with the fast sorts on
-// finite instances (order-identical there), so a finite solve's one
-// allocation is the returned copy (none when MaxBIPS builds the answer in
-// its caller's vector).
+// The solve borrows its frontier, walk and DFS state from the coldScratch
+// free list, so a finite solve's one allocation is the returned copy (none
+// when MaxBIPS builds the answer in its caller's vector).
 func (b *BB) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	return b.solveCold(nil, in, cp)
 }
@@ -241,31 +239,69 @@ func (b *BB) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 // solveCold is SolveBounded copying its answer into dst (see resizeVector)
 // instead of a fresh vector.
 func (b *BB) solveCold(dst modes.Vector, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
-	start := time.Now()
-	n := in.NumCores()
-	if n == 0 {
-		return resizeVector(dst, 0), Stats{Solver: b.Name(), Exact: true, Elapsed: time.Since(start)}
-	}
 	cs := takeColdBB()
-	cs.frontier.build(in, finiteInstance(in))
-	// Greedy incumbent seed. In LexTies mode the seed only tightens the
-	// pruning floor — the incumbent vector must be discovered by the lex
-	// DFS itself, or a greedy optimum could shadow a lex-smaller tie.
-	gv, _, _ := greedySolve(in, cp, cs.seed)
-	// Entries are shared by solves of every width: size the incumbent so
-	// the DFS overwrites it in place.
-	cs.state.best = resizeVector(cs.state.best, n)
-	v, st := b.solveFrom(in, cp, &cs.bbScratch, gv, math.Inf(-1), start, nil)
-	// v may alias the seed or incumbent buffer: copy it out, and drop the
+	v, st, _ := b.solve(in, cp, &cs.bbScratch, &cs.walk, nil, nil)
+	// v may alias the walk or incumbent buffer: copy it out, and drop the
 	// references to the caller's matrices and checkpoint before giving the
 	// entry back.
-	dst = resizeVector(dst, n)
+	dst = resizeVector(dst, len(v))
 	copy(dst, v)
-	v = dst
-	cs.seed = gv
 	cs.state = bbState{v: cs.state.v, best: cs.state.best}
 	giveColdBB(cs)
-	return v, st
+	return dst, st
+}
+
+// solve is BB's one body, run by cold solves and sessions alike: build the
+// frontier, seed the incumbent by the walk, then run the DFS. sc and w are
+// the caller's scratch. hint, when non-nil, is a shape-checked warm vector
+// (usableHint) whose throughput, when it is feasible, becomes an extra
+// pruning floor; floored reports that it did. l, when non-nil, is a Hier
+// cluster's link: the frontier is built once per parent decision, and a
+// completed solve leaves its budget certificate there.
+//
+// On an instance with a NaN or infinite entry or budget, the frontier takes
+// the stable sorts, and the solve takes neither a warm floor nor a
+// certificate: both rest on the ordering arguments of finite arithmetic.
+func (b *BB) solve(in Instance, cp *Checkpoint, sc *bbScratch, w *walkScratch, hint modes.Vector, l *clusterLink) (_ modes.Vector, _ Stats, floored bool) {
+	start := time.Now()
+	if l != nil {
+		l.cert.ok = false
+	}
+	n := in.NumCores()
+	if n == 0 {
+		return nil, Stats{Solver: b.Name(), Exact: true, Elapsed: time.Since(start)}, false
+	}
+	finite := finiteInstance(in)
+	if l == nil || l.built != l.decision {
+		sc.frontier.build(in, finite)
+		if l != nil {
+			l.built = l.decision
+		}
+	}
+	var cert *budgetCert
+	if l != nil && finite {
+		cert = &l.cert
+		*cert = budgetCert{lo: math.Inf(-1), hi: math.Inf(1)}
+	}
+	// In LexTies mode the seed only tightens the pruning floor — the
+	// incumbent vector must be discovered by the lex DFS itself, or a greedy
+	// optimum could shadow a lex-smaller tie.
+	gv, _, seedAborted := greedyWalk(in, cp, w, cert)
+	warmFloor := math.Inf(-1)
+	if finite && hint != nil {
+		if hp := in.VectorPower(hint); hp <= in.BudgetW {
+			warmFloor = in.VectorInstr(hint)
+			floored = true
+		}
+	}
+	if seedAborted {
+		cert = nil
+	}
+	// Scratch may serve solves of every width: size the incumbent so the DFS
+	// overwrites it in place.
+	sc.state.best = resizeVector(sc.state.best, n)
+	v, st := b.solveFrom(in, cp, sc, gv, warmFloor, start, cert)
+	return v, st, floored
 }
 
 // bbScratch is BB's reusable machinery, owned by a Session or borrowed by
@@ -276,17 +312,17 @@ type bbScratch struct {
 	state    bbState
 }
 
-// coldBB is a cold solve's borrowed machinery: BB's scratch plus the buffer
-// the greedy seed is built in.
+// coldBB is a cold solve's borrowed machinery: BB's scratch plus the walk's,
+// which a cold BB seeds from and a cold greedy answers with.
 type coldBB struct {
 	bbScratch
-	seed modes.Vector
+	walk walkScratch
 }
 
-// coldScratch is the free list cold BB solves borrow their machinery from.
-// takeColdBB hands one goroutine exclusive use of an entry until its
-// giveColdBB, so concurrent cold solves (sweep workers sharing one policy
-// value) never share a buffer. It is a mutex-guarded list rather than a
+// coldScratch is the free list cold BB and greedy solves borrow their
+// machinery from. takeColdBB hands one goroutine exclusive use of an entry
+// until its giveColdBB, so concurrent cold solves (sweep workers sharing one
+// policy value) never share a buffer. It is a mutex-guarded list rather than a
 // sync.Pool because a sync.Pool drops items at random under the race
 // detector, which makes the allocation counts of runs through core.MaxBIPS
 // differ from run to run under -race; the engine's allocation tests

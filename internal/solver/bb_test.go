@@ -97,10 +97,11 @@ func TestFrontierFastSortsBitIdentical(t *testing.T) {
 
 // TestColdBBScratchConcurrent pins that cold solves borrowing scratch from
 // the free list never hand out memory another solve can overwrite: goroutines
-// solve different instances at once through cold BB and MaxBIPS, keep every
-// returned vector, and re-check all of them against the reference kernel
-// after each later solve and once every goroutine has finished. CI runs it
-// under -race -count=10.
+// solve different instances at once through cold BB, MaxBIPS, Greedy,
+// GreedyInto and a non-enumerable Exhaustive (its greedy fallback), keep
+// every returned vector, and re-check all of them against the reference
+// kernels (the enumeration, the greedy scan) after each later solve and once
+// every goroutine has finished. CI runs it under -race -count=10.
 func TestColdBBScratchConcurrent(t *testing.T) {
 	const workers, rounds = 4, 12
 	type kept struct {
@@ -126,7 +127,16 @@ func TestColdBBScratchConcurrent(t *testing.T) {
 					t.Errorf("worker %d round %d: default bb %v scores %g, the optimum %g", w, r, def, dt, wt)
 				}
 				k.got = []modes.Vector{lex, mb}
-				mine = append(mine, k)
+				g := kept{in: in}
+				g.want, _, _ = greedySolve(in, nil, nil)
+				gs, _ := Greedy{}.Solve(in)
+				g.got = []modes.Vector{gs, GreedyInto(nil, in)}
+				wide := randInstance(int64(1000*w+r+500), 20, plan3(), 0.6+0.03*float64(r))
+				x := kept{in: wide}
+				x.want, _, _ = greedySolve(wide, nil, nil)
+				xs, _ := Exhaustive{}.Solve(wide)
+				x.got = []modes.Vector{xs}
+				mine = append(mine, k, g, x)
 				for i, e := range mine {
 					for _, v := range e.got {
 						if !v.Equal(e.want) {

@@ -108,6 +108,8 @@ func benchDrift(in Instance, k int) []Instance {
 //     allocation-free;
 //   - drift rows cycle perturbed telemetry (memo always misses) — warm
 //     frontier/scratch reuse plus the previous vector as a pruning floor;
+//   - the paired row times the 1024-core hier-drift decision and a fixed
+//     reference side by side, for `make bench-check`'s host-relative gate;
 //   - the cold/bb row is the 1024-core baseline the issue's ≥5× steady-state
 //     speedup gate compares against (NodeLimit 1<<21: unbounded exact BB is
 //     intractable at this width; cold anytime cost is the honest baseline).
@@ -187,6 +189,38 @@ func BenchmarkSolverWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ses.Solve(seq[i%len(seq)], Hint{})
 		}
+	})
+	b.Run("hier-drift-paired/cores=1024", func(b *testing.B) {
+		// The hier-drift decision paired with a reference no decision-path
+		// change moves: the heap greedy, a test-only copy of the kernel the
+		// walk replaced, over the same instance. Each iteration times one of
+		// each back to back and reports their means, so host noise, which
+		// comes in bursts longer than a row's run, lands on both alike.
+		const n = 1024
+		seq := benchDrift(randInstance(n, n, plan, 0.8), 4)
+		ses := NewSession(&Hier{ClusterSize: 8})
+		defer ses.Close()
+		hint := Hint{Vector: make(modes.Vector, n)}
+		var g greedyScratch
+		for _, in := range seq {
+			v, _ := ses.Solve(in, hint)
+			copy(hint.Vector, v)
+			heapGreedy(in, nil, &g)
+		}
+		var hierNS, heapNS time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			in := seq[i%len(seq)]
+			t0 := time.Now()
+			v, _ := ses.Solve(in, hint)
+			copy(hint.Vector, v)
+			t1 := time.Now()
+			heapGreedy(in, nil, &g)
+			hierNS += t1.Sub(t0)
+			heapNS += time.Since(t1)
+		}
+		b.ReportMetric(float64(hierNS)/float64(b.N), "hier-ns/op")
+		b.ReportMetric(float64(heapNS)/float64(b.N), "heap-ns/op")
 	})
 	b.Run("cold/bb/cores=1024", func(b *testing.B) {
 		// Build the instance, and size the pooled cold scratch for this width

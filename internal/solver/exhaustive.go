@@ -97,8 +97,9 @@ func (e Exhaustive) solveInto(dst modes.Vector, in Instance, cp *Checkpoint) (mo
 		v, st.Nodes, st.Aborted = enumerate(dst, in, cp)
 	} else {
 		// Refuse intractable instances: fall back to greedy rather than hang.
-		v, st.Nodes, st.Aborted = greedySolve(in, cp, dst)
-		st.Exact = false
+		var gst Stats
+		v, gst = Greedy{}.solveCold(dst, in, cp)
+		st.Nodes, st.Aborted, st.Exact = gst.Nodes, gst.Aborted, false
 	}
 	if st.Aborted {
 		st.Exact = false

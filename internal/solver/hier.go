@@ -21,10 +21,10 @@ import (
 // share = Alpha·previous + (1−Alpha)·demand — so a cluster whose workload
 // ramps keeps part of its grant between explore intervals instead of being
 // re-zeroed by one quiet sample (inter-interval rebalancing). The previous
-// grants live in the Session driving the solver, so bare Solve calls (no
-// session) are stateless: Alpha then behaves as 0. The decision cost is
-// O(cores²·modes) for the demand pass plus numClusters independent
-// ClusterSize-core solves.
+// grants live in the Session driving the solver; a bare Solve runs on a
+// fresh state, which has none, so Alpha then behaves as 0. The decision cost
+// is one sorted greedy walk over the chip for the demand pass plus
+// numClusters independent ClusterSize-core solves.
 type Hier struct {
 	// ClusterSize is the number of cores per cluster (default 8).
 	ClusterSize int
@@ -34,7 +34,7 @@ type Hier struct {
 	// the initial per-share solve (default 2).
 	RebalancePasses int
 	// Alpha in [0,1) smooths shares across calls when driven through a
-	// Session; without one it is ignored (stateless solve).
+	// Session; a bare Solve ignores it (a fresh state has no shares).
 	Alpha float64
 }
 
@@ -48,20 +48,31 @@ func (h *Hier) clusterSize() int {
 	return h.ClusterSize
 }
 
+// inner is the cluster solver with any Deadline wrappers stripped: every
+// cluster solve charges the decision's checkpoint, never a wrapper's own
+// budgets (wrap Hier itself in WithDeadline to bound the whole decision).
 func (h *Hier) inner() Solver {
-	if h.Inner == nil {
+	s := h.Inner
+	for {
+		d, ok := s.(*Deadline)
+		if !ok {
+			break
+		}
+		s = d.Inner
+	}
+	if s == nil {
 		return &BB{}
 	}
-	return h.Inner
+	return s
 }
 
-// hierState is a Session's cross-interval Hier memory: the Alpha-smoothed
-// share grants, the previously returned vector (sliced into per-cluster warm
-// hints), one child Session per cluster (scratch, warm floors and frontier
-// reuse for the inner solver) with the link it shares with each, the walk
-// scratch for the demand pass, and the output buffers. It replaces the
-// mutex-guarded shares that used to live inside Hier itself, so the solver
-// value is now immutable during Solve.
+// hierState is Hier's memory: a Session's across intervals, a fresh one per
+// bare solve. It holds the Alpha-smoothed share grants, the previously
+// returned vector (sliced into per-cluster warm hints), one child Session
+// per cluster (scratch, warm floors and frontier reuse for the inner
+// solver) with the link it shares with each, the walk scratch for the
+// demand pass, and the output buffers. The solver value itself holds no
+// state, so it is immutable during Solve.
 type hierState struct {
 	shares []float64 // previous grants, when Alpha > 0
 	prev   modes.Vector
@@ -167,30 +178,33 @@ func (h *Hier) Solve(in Instance) (modes.Vector, Stats) {
 }
 
 // SolveBounded implements Bounded. The checkpoint is shared by the demand
-// pass, every cluster solve (when Inner is Bounded), and the rebalance
-// rounds; an exhausted checkpoint returns the best chip-feasible vector
-// assembled so far, falling back to the greedy demand vector.
+// pass, every cluster solve, and the rebalance rounds; an exhausted
+// checkpoint returns the best chip-feasible vector assembled so far, falling
+// back to the greedy demand vector. It runs the session's body on a fresh
+// state, so the answer is the one a session's first solve gives. When one
+// cluster covers the chip the inner solver answers directly: a child
+// session's first solve returns its cold vector, so building one would add
+// nothing but allocations.
 func (h *Hier) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
-	return h.solveWith(in, cp, nil, Hint{})
+	if n := in.NumCores(); n > 0 && h.clusterSize() >= n {
+		start := time.Now()
+		v, st := SolveBounded(h.inner(), in, cp)
+		st.Solver = h.Name()
+		st.Elapsed = time.Since(start)
+		return v, st
+	}
+	return h.solveWith(in, cp, &hierState{}, Hint{})
 }
 
-// solveWith is SolveBounded plus the session path: hs carries cross-interval
-// state and reusable buffers, hint the previously actuated chip vector. With
-// hs == nil the solve is stateless and allocates fresh buffers.
-//
-// Known divergence on an exotic config: when Inner is a *Deadline wrapper,
-// the stateless path calls its Solve (arming the wrapper's own budgets),
-// while child sessions unwrap it and thread the parent checkpoint instead —
-// wrap Hier itself in WithDeadline to bound the whole decision uniformly.
+// solveWith is Hier's one body: hs carries the cross-interval state and
+// reusable buffers, hint the previously actuated chip vector.
 func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) (modes.Vector, Stats) {
 	start := time.Now()
 	st := Stats{Solver: h.Name()}
-	if hs != nil {
-		// Paths that never touch hs.shares (Alpha == 0, single cluster, early
-		// aborts) leave the cross-interval state trivially stable; the
-		// Alpha > 0 share update below overwrites this with the real verdict.
-		hs.sharesStable = true
-	}
+	// Paths that never touch hs.shares (Alpha == 0, single cluster, early
+	// aborts) leave the cross-interval state trivially stable; the Alpha > 0
+	// share update below overwrites this with the real verdict.
+	hs.sharesStable = true
 	n := in.NumCores()
 	if n == 0 {
 		st.Exact = true
@@ -201,14 +215,8 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	if k >= n {
 		// One cluster: delegate whole. The child session gives the inner
 		// solver scratch reuse and the chip-level warm hint.
-		var v modes.Vector
-		var ist Stats
-		if hs != nil {
-			hs.ensureInner(h, 1, n, in.NumModes())
-			v, ist = hs.inner[0].solveBounded(in, hint, cp)
-		} else {
-			v, ist = SolveBounded(h.inner(), in, cp)
-		}
+		hs.ensureInner(h, 1, n, in.NumModes())
+		v, ist := hs.inner[0].solveBounded(in, hint, cp)
 		ist.Solver = st.Solver
 		ist.Elapsed = time.Since(start)
 		return v, ist
@@ -238,14 +246,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	}
 
 	// Global level: greedy demand shares plus an even headroom split.
-	var gv modes.Vector
-	var gnodes int64
-	var gaborted bool
-	if hs != nil && finiteInstance(in) {
-		gv, gnodes, gaborted = greedyWalk(in, cp, &hs.gs, nil)
-	} else {
-		gv, gnodes, gaborted = greedySolve(in, cp, nil)
-	}
+	gv, gnodes, gaborted := greedyWalk(in, cp, &hs.gs, nil)
 	st.Nodes += gnodes
 	if gaborted {
 		// No time for the two-level decomposition: the (possibly partial)
@@ -256,13 +257,8 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 		st.Elapsed = time.Since(start)
 		return gv, st
 	}
-	var shares []float64
-	if hs != nil {
-		hs.cur = resizeFloats(hs.cur, nc) // zeroed: shares accumulate with +=
-		shares = hs.cur
-	} else {
-		shares = make([]float64, nc)
-	}
+	hs.cur = resizeFloats(hs.cur, nc) // zeroed: shares accumulate with +=
+	shares := hs.cur
 	var demand float64
 	for i := 0; i < nc; i++ {
 		for c := lo(i); c < hi(i); c++ {
@@ -278,7 +274,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 
 	// Inter-interval smoothing: blend with the previous grants, then scale
 	// back under the budget if the blend overshoots it.
-	if h.Alpha > 0 && hs != nil && len(hs.shares) == len(shares) {
+	if h.Alpha > 0 && len(hs.shares) == len(shares) {
 		var sum float64
 		for i := range shares {
 			shares[i] = h.Alpha*hs.shares[i] + (1-h.Alpha)*shares[i]
@@ -293,25 +289,13 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	}
 
 	// Local level: independent per-cluster solves, in cluster order on the
-	// calling goroutine. With a session, each cluster has its own child
-	// session warmed by the matching slice of the previous chip vector.
-	var out modes.Vector
-	var used []float64
-	var inner Solver
-	if hs != nil {
-		hs.out = resizeVector(hs.out, n)
-		hs.used = resizeFloats(hs.used, nc)
-		out, used = hs.out, hs.used
-		hs.ensureInner(h, nc, k, in.NumModes())
-	} else {
-		out = make(modes.Vector, n)
-		used = make([]float64, nc)
-		inner = h.inner()
-	}
+	// calling goroutine, each cluster in its own child session warmed by the
+	// matching slice of the previous chip vector.
+	hs.out = resizeVector(hs.out, n)
+	hs.used = resizeFloats(hs.used, nc)
+	out, used := hs.out, hs.used
+	hs.ensureInner(h, nc, k, in.NumModes())
 	solveCluster := func(i int, s Instance) (modes.Vector, Stats) {
-		if hs == nil {
-			return SolveBounded(inner, s, cp)
-		}
 		var ch Hint
 		if len(hs.prev) == n {
 			ch.Vector = hs.prev[lo(i):hi(i)]
@@ -347,7 +331,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 			if slack <= eps {
 				break
 			}
-			if hs != nil && hs.links[i].cert.holds(used[i]+slack) {
+			if hs.links[i].cert.holds(used[i] + slack) {
 				hs.reuses++
 				continue
 			}
@@ -367,7 +351,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 		}
 	}
 
-	if h.Alpha > 0 && hs != nil {
+	if h.Alpha > 0 {
 		hs.sharesStable = floatsBitEqual(hs.shares, used)
 		hs.shares = append(hs.shares[:0], used...)
 	}
@@ -379,9 +363,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	if in.VectorPower(out) > in.BudgetW {
 		out = gv
 	}
-	if hs != nil {
-		hs.prev = append(hs.prev[:0], out...)
-	}
+	hs.prev = append(hs.prev[:0], out...)
 	st.Aborted = cp.Aborted()
 	st.Elapsed = time.Since(start)
 	return out, st

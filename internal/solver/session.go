@@ -331,13 +331,21 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	var st Stats
 	switch b := s.base.(type) {
 	case *BB:
-		v, st = s.solveBB(b, in, h, warm, cp)
+		var hv modes.Vector
+		if warm {
+			hv = h.Vector
+		}
+		var floored bool
+		v, st, floored = b.solve(in, cp, &s.bb, &s.gs, hv, s.link)
+		if floored {
+			s.stats.WarmFloored++
+		}
 	case *Hier:
 		v, st = b.solveWith(in, cp, s.hier, h)
 		s.stats.ClusterReuses += s.hier.reuses
 		s.hier.reuses = 0
 	case Greedy:
-		v, st = s.solveGreedy(b, in, cp)
+		v, st = b.solve(in, cp, &s.gs)
 	default:
 		v, st = SolveBounded(s.base, in, cp)
 	}
@@ -367,56 +375,6 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	return v, st
 }
 
-// solveBB is the warm BB path: scratch-built frontier, sorted-walk greedy
-// seed, and the hint as an extra pruning floor. Non-finite instances take
-// the cold path — the fast sorts and the walk assume totally ordered keys.
-// A Hier cluster's solve also leaves its budget certificate in its link.
-func (s *Session) solveBB(b *BB, in Instance, h Hint, warm bool, cp *Checkpoint) (modes.Vector, Stats) {
-	start := time.Now()
-	l := s.link
-	if l != nil {
-		l.cert.ok = false
-	}
-	if in.NumCores() == 0 || !finiteInstance(in) {
-		return b.SolveBounded(in, cp)
-	}
-	if l == nil || l.built != l.decision {
-		s.bb.frontier.build(in, true)
-		if l != nil {
-			l.built = l.decision
-		}
-	}
-	var cert *budgetCert
-	if l != nil {
-		cert = &l.cert
-		*cert = budgetCert{lo: math.Inf(-1), hi: math.Inf(1)}
-	}
-	gv, _, seedAborted := greedyWalk(in, cp, &s.gs, cert)
-	warmFloor := math.Inf(-1)
-	if warm {
-		if hp := in.VectorPower(h.Vector); hp <= in.BudgetW {
-			warmFloor = in.VectorInstr(h.Vector)
-			s.stats.WarmFloored++
-		}
-	}
-	if seedAborted {
-		cert = nil
-	}
-	return b.solveFrom(in, cp, &s.bb, gv, warmFloor, start, cert)
-}
-
-// solveGreedy swaps the O(n²·m) scan for the O(n·m·log n) sorted walk.
-func (s *Session) solveGreedy(g Greedy, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
-	if !finiteInstance(in) {
-		return g.SolveBounded(in, cp)
-	}
-	start := time.Now()
-	v, nodes, aborted := greedyWalk(in, cp, &s.gs, nil)
-	st := Stats{Solver: g.Name(), Nodes: nodes, Elapsed: time.Since(start)}
-	st.Aborted = aborted
-	return v, st
-}
-
 // usableHint reports that the hint vector is shape-compatible with the
 // instance (right width, every mode in range). Feasibility is checked
 // separately at each use site, against the current matrices.
@@ -435,9 +393,8 @@ func usableHint(in Instance, h Hint) bool {
 }
 
 // finiteInstance reports that the budget and every matrix entry are finite.
-// The warm paths require it: NaNs have no defined order under the fast
-// sorts and the sorted walk, so non-finite instances fall back to the cold
-// kernels (which the memo also never caches: NaN compares unequal).
+// BB's fast sorts, warm floor and certificates require it (BB.solve), and
+// so does MaxBIPS's exactness argument (lexBBExact).
 func finiteInstance(in Instance) bool {
 	if !finite(in.BudgetW) {
 		return false

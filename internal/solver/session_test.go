@@ -1,9 +1,11 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"gpm/internal/modes"
 )
@@ -46,11 +48,16 @@ func driftInstance(rng *rand.Rand, in Instance) Instance {
 // stress the rebalance offers a certificate answers without a solve: the
 // 90 → 60 % budget step of the 1024-core benchmark under drifting
 // telemetry, and replicated integer rows held still while the budget moves,
-// where vectors tie exactly on (throughput, power) in both tie modes.
+// where vectors tie exactly on (throughput, power) in both tie modes. A
+// bare Hier answers rebalance offers from certificates too, so every hier
+// case's cold side is a Hier over an uncertified inner BB, which re-solves
+// every offer: an unsound certificate cannot hide behind the reference.
 func TestWarmVsColdBitIdentical(t *testing.T) {
 	type cfg struct {
 		name string
 		mk   func() Solver
+		// cold, when set, builds the cold reference in place of mk.
+		cold func() Solver
 		n    int
 		// start and next, when set, replace randInstance and driftInstance.
 		start func(seed int64, rng *rand.Rand) Instance
@@ -75,18 +82,23 @@ func TestWarmVsColdBitIdentical(t *testing.T) {
 		}
 		return in
 	}
+	resolving := func(k int) func() Solver {
+		return func() Solver { return &Hier{ClusterSize: k, Inner: uncertified{&BB{}}} }
+	}
 	cfgs := []cfg{
 		{name: "bb", mk: func() Solver { return &BB{} }, n: 12},
 		{name: "bb-lexties", mk: func() Solver { return &BB{LexTies: true} }, n: 10},
-		{name: "hier", mk: func() Solver { return &Hier{ClusterSize: 4} }, n: 12},
-		{name: "hier-wide", mk: func() Solver { return &Hier{ClusterSize: 8} }, n: 256},
+		{name: "hier", mk: func() Solver { return &Hier{ClusterSize: 4} }, cold: resolving(4), n: 12},
+		{name: "hier-wide", mk: func() Solver { return &Hier{ClusterSize: 8} }, cold: resolving(8), n: 256},
 		{name: "greedy", mk: func() Solver { return Greedy{} }, n: 16},
 		{name: "exhaustive", mk: func() Solver { return Exhaustive{} }, n: 7},
-		{name: "hier-wide-budget-step", mk: func() Solver { return &Hier{ClusterSize: 8} }, n: 256,
+		{name: "hier-wide-budget-step", mk: func() Solver { return &Hier{ClusterSize: 8} }, cold: resolving(8), n: 256,
 			start: func(seed int64, rng *rand.Rand) Instance { return randInstance(seed+400, 256, plan3(), 0.9) },
 			next:  budgetStep},
-		{name: "hier-tied", mk: func() Solver { return &Hier{ClusterSize: 4} }, start: tied, next: budgetMoves},
+		{name: "hier-tied", mk: func() Solver { return &Hier{ClusterSize: 4} }, cold: resolving(4),
+			start: tied, next: budgetMoves},
 		{name: "hier-tied-lexties", mk: func() Solver { return &Hier{ClusterSize: 4, Inner: &BB{LexTies: true}} },
+			cold:  func() Solver { return &Hier{ClusterSize: 4, Inner: uncertified{&BB{LexTies: true}}} },
 			start: tied, next: budgetMoves},
 	}
 	const seeds = 4 // × 9 configs = 36 drift sequences
@@ -94,6 +106,9 @@ func TestWarmVsColdBitIdentical(t *testing.T) {
 	for _, c := range cfgs {
 		for seed := int64(0); seed < seeds; seed++ {
 			cold := c.mk()
+			if c.cold != nil {
+				cold = c.cold()
+			}
 			ses := NewSession(c.mk())
 			rng := rand.New(rand.NewSource(1000*seed + 7))
 			var in Instance
@@ -125,6 +140,96 @@ func TestWarmVsColdBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSessionNonFiniteMatchesCold drives sessions over instances poisoned
+// with NaN and ±Inf in rows and budget, alternating with finite ones, so the
+// memo, warm floors, frontier reuse and certificates all meet them. BB
+// sessions in both tie modes, Greedy sessions and Hier sessions (several
+// clusters and one) must return the cold solve's vector at every step; BB
+// must also return the vector of a DFS seeded by the scan over stable-sorted
+// frontiers, and Greedy the scan's vector. A Hier's cold side runs over an
+// uncertified inner BB, so it re-solves every rebalance offer.
+func TestSessionNonFiniteMatchesCold(t *testing.T) {
+	type cfg struct {
+		name string
+		mk   func() Solver
+		cold func() Solver
+		n    int
+	}
+	cfgs := []cfg{
+		{"bb", func() Solver { return &BB{} }, nil, 9},
+		{"bb-lexties", func() Solver { return &BB{LexTies: true} }, nil, 9},
+		{"greedy", func() Solver { return Greedy{} }, nil, 60},
+		{"hier", func() Solver { return &Hier{ClusterSize: 4} },
+			func() Solver { return &Hier{ClusterSize: 4, Inner: uncertified{&BB{}}} }, 14},
+		{"hier-one-cluster", func() Solver { return &Hier{} },
+			func() Solver { return &Hier{Inner: uncertified{&BB{}}} }, 6},
+	}
+	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	nonFinite := 0
+	for _, c := range cfgs {
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(500 + seed))
+			ses := NewSession(c.mk())
+			base := randInstance(seed+700, c.n, plan3(), 0.5+0.4*rng.Float64())
+			var hint Hint
+			for step := 0; step < 16; step++ {
+				in := driftInstance(rng, base)
+				if step%4 != 3 {
+					// Poison a copy: the drifted instance may share base's rows.
+					p := Instance{Plan: in.Plan, BudgetW: in.BudgetW,
+						Power: make([][]float64, c.n), Instr: make([][]float64, c.n)}
+					for k := range p.Power {
+						p.Power[k] = append([]float64(nil), in.Power[k]...)
+						p.Instr[k] = append([]float64(nil), in.Instr[k]...)
+					}
+					x := poison[rng.Intn(len(poison))]
+					k, mo := rng.Intn(c.n), rng.Intn(in.NumModes())
+					switch rng.Intn(3) {
+					case 0:
+						p.Power[k][mo] = x
+					case 1:
+						p.Instr[k][mo] = x
+					default:
+						p.BudgetW = x
+					}
+					in = p
+				}
+				if !finiteInstance(in) {
+					nonFinite++
+				}
+				cold := c.mk()
+				if c.cold != nil {
+					cold = c.cold()
+				}
+				cv, _ := cold.Solve(in)
+				wv, _ := ses.Solve(in, hint)
+				if !wv.Equal(cv) {
+					t.Fatalf("%s seed %d step %d: session %v != cold %v (hint %v)", c.name, seed, step, wv, cv, hint.Vector)
+				}
+				switch s := c.mk().(type) {
+				case Greedy:
+					if sv, _, _ := greedySolve(in, nil, nil); !wv.Equal(sv) {
+						t.Fatalf("%s seed %d step %d: session %v != scan %v", c.name, seed, step, wv, sv)
+					}
+				case *BB:
+					var sc bbScratch
+					sc.frontier.build(in, false)
+					gv, _, _ := greedySolve(in, nil, nil)
+					if rv, _ := s.solveFrom(in, nil, &sc, gv, math.Inf(-1), time.Now(), nil); !wv.Equal(rv) {
+						t.Fatalf("%s seed %d step %d: session %v != scan-seeded reference %v", c.name, seed, step, wv, rv)
+					}
+				}
+				hint = Hint{Vector: wv.Clone()}
+				base = driftInstance(rng, base)
+			}
+			ses.Close()
+		}
+	}
+	if nonFinite < 300 {
+		t.Fatalf("only %d non-finite instances: the test no longer probes them", nonFinite)
+	}
+}
+
 // TestWarmVsColdGarbageHints pins that hostile hints — wrong width, modes out
 // of range, infeasible vectors — degrade to cold solves, never to different
 // or infeasible answers.
@@ -153,20 +258,26 @@ func TestWarmVsColdGarbageHints(t *testing.T) {
 	}
 }
 
-// TestHeapGreedyMatchesScan pins the session's O(n·m·log n) heap greedy
-// against the canonical O(n²·m) scan kernel, including instances with
-// negative upgrade deltas (non-monotone power columns) where infeasible
-// candidates must be reconsidered after power drops.
+// TestHeapGreedyMatchesScan pins the two greedy references against each
+// other and the walk against both: the O(n·m·log n) heap greedy and the
+// sorted walk must return the O(n²·m) scan's vector, including on
+// instances with negative upgrade deltas (non-monotone power columns) where
+// infeasible candidates must be reconsidered after power drops.
 func TestHeapGreedyMatchesScan(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		n := 4 + int(seed%13)
-		in := randInstance(seed, n, plan3(), 0.4+0.05*float64(seed%10))
+	var w walkScratch
+	check := func(name string, in Instance) {
+		t.Helper()
 		var g greedyScratch
 		hv, _, _ := heapGreedy(in, nil, &g)
+		wv, _, _ := greedyWalk(in, nil, &w, nil)
 		sv, _, _ := greedySolve(in, nil, nil)
-		if !sv.Equal(hv) {
-			t.Fatalf("seed %d: heap %v != scan %v", seed, hv, sv)
+		if !sv.Equal(hv) || !sv.Equal(wv) {
+			t.Fatalf("%s: heap %v, walk %v, scan %v", name, hv, wv, sv)
 		}
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		n := 4 + int(seed%13)
+		check(fmt.Sprintf("seed %d", seed), randInstance(seed, n, plan3(), 0.4+0.05*float64(seed%10)))
 	}
 	// Adversarial: make some upgrades REDUCE power (mode 1 hungrier than
 	// mode 0), so feasibility is non-monotone along the upgrade sequence.
@@ -179,12 +290,7 @@ func TestHeapGreedyMatchesScan(t *testing.T) {
 				in.Power[c][1] = in.Power[c][0] * (1.1 + rng.Float64()) // upgrade 1→0 frees power
 			}
 		}
-		var g greedyScratch
-		hv, _, _ := heapGreedy(in, nil, &g)
-		sv, _, _ := greedySolve(in, nil, nil)
-		if !sv.Equal(hv) {
-			t.Fatalf("adversarial trial %d: heap %v != scan %v", trial, hv, sv)
-		}
+		check(fmt.Sprintf("adversarial trial %d", trial), in)
 	}
 }
 

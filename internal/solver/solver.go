@@ -213,9 +213,11 @@ func New(name string, opt Options) (Solver, error) {
 
 // Greedy is the marginal-utility heuristic: start from the all-deepest
 // vector and repeatedly apply the single-core, single-step upgrade with the
-// best ΔBIPS/ΔPower ratio that still fits the budget. O(cores² × modes).
-// Ties on the ratio resolve to the lowest core index (the scan keeps the
-// first maximum) — the tie rule core.GreedyMaxBIPS documents.
+// best ΔBIPS/ΔPower ratio that still fits the budget. Ties on the ratio
+// resolve to the lowest core index — the tie rule core.GreedyMaxBIPS
+// documents. Cold calls and sessions run the one sorted walk (greedyWalk),
+// in O(n·m·log(n·m)); a cold call borrows the walk's buffers from the
+// coldScratch free list.
 type Greedy struct{}
 
 // Name implements Solver.
@@ -229,25 +231,39 @@ func (g Greedy) Solve(in Instance) (modes.Vector, Stats) {
 // GreedyInto returns Greedy's answer on in, built in dst (grown first when
 // it is shorter than in.NumCores()) instead of a fresh vector.
 func GreedyInto(dst modes.Vector, in Instance) modes.Vector {
-	v, _, _ := greedySolve(in, nil, dst)
+	v, _ := Greedy{}.solveCold(dst, in, nil)
 	return v
 }
 
 // SolveBounded implements Bounded.
 func (g Greedy) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
+	return g.solveCold(nil, in, cp)
+}
+
+// solveCold runs the greedy's body in buffers borrowed from the coldScratch
+// free list and copies its vector into dst (see resizeVector).
+func (g Greedy) solveCold(dst modes.Vector, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
+	cs := takeColdBB()
+	v, st := g.solve(in, cp, &cs.walk)
+	dst = resizeVector(dst, len(v))
+	copy(dst, v)
+	giveColdBB(cs)
+	return dst, st
+}
+
+// solve is the greedy's one body, run by cold solves and sessions alike: the
+// walk in w. The returned vector aliases w.
+func (g Greedy) solve(in Instance, cp *Checkpoint, w *walkScratch) (modes.Vector, Stats) {
 	start := time.Now()
-	v, nodes, aborted := greedySolve(in, cp, nil)
-	st := Stats{Solver: g.Name(), Nodes: nodes, Elapsed: time.Since(start)}
-	st.Aborted = aborted
-	return v, st
+	v, nodes, aborted := greedyWalk(in, cp, w, nil)
+	return v, Stats{Solver: g.Name(), Nodes: nodes, Aborted: aborted, Elapsed: time.Since(start)}
 }
 
 // upgradeDelta scores the single-step upgrade of a core from mode cur to
 // cur−1, given its power and instruction rows: the power delta and the
-// ΔBIPS/ΔPower ratio under the greedy kernel's conventions (near-zero
-// ΔPower with positive ΔBIPS reads as free throughput). Shared by the scan
-// and the sorted walk so their candidate orderings agree bit-for-bit. It takes rows rather than the Instance so the inlined call
-// does not copy the instance per candidate.
+// ΔBIPS/ΔPower ratio under the greedy's conventions (near-zero ΔPower with
+// positive ΔBIPS reads as free throughput). It takes rows rather than the
+// Instance so the inlined call does not copy the instance per candidate.
 func upgradeDelta(power, instr []float64, cur modes.Mode) (dp, ratio float64) {
 	up := cur - 1
 	dp = power[up] - power[cur]
@@ -259,54 +275,4 @@ func upgradeDelta(power, instr []float64, cur modes.Mode) (dp, ratio float64) {
 		ratio = 1e18 // free throughput
 	}
 	return dp, ratio
-}
-
-// greedySolve is the shared greedy kernel; BB seeds its incumbent and Hier
-// derives its demand shares from it. The checkpoint is consulted once per
-// upgrade pass; an aborted pass returns the vector built so far, which is
-// feasible by construction (upgrades are only applied when they fit). The
-// aborted result reports this solve's own checkpoint trips — not the shared
-// checkpoint's latched flag, which another goroutine may have set after this
-// solve already completed. The vector is built in buf when it has the
-// capacity (nil allocates a fresh one).
-func greedySolve(in Instance, cp *Checkpoint, buf modes.Vector) (v modes.Vector, nodes int64, aborted bool) {
-	n := in.NumCores()
-	v = resizeVector(buf, n)
-	deep := modes.Mode(in.NumModes() - 1)
-	for c := range v {
-		v[c] = deep
-	}
-	power := in.VectorPower(v)
-	if power > in.BudgetW {
-		return v, nodes, false // even the floor exceeds the budget
-	}
-	for {
-		passStart := nodes
-		bestCore := -1
-		bestRatio := -1.0
-		var bestDP float64
-		for c := 0; c < n; c++ {
-			if v[c] == 0 {
-				continue
-			}
-			dp, ratio := upgradeDelta(in.Power[c], in.Instr[c], v[c])
-			nodes++
-			if power+dp > in.BudgetW {
-				continue
-			}
-			if ratio > bestRatio {
-				bestRatio = ratio
-				bestCore = c
-				bestDP = dp
-			}
-		}
-		if cp.Visit(nodes - passStart) {
-			return v, nodes, true
-		}
-		if bestCore < 0 {
-			return v, nodes, false
-		}
-		v[bestCore]--
-		power += bestDP
-	}
 }

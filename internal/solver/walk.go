@@ -40,11 +40,16 @@ func (a step) before(b step) bool {
 	return a.lvl > b.lvl
 }
 
-// ratioKey maps a finite-instance ratio (±Inf allowed, NaN not) to an
-// unsigned key whose ascending order is the ratio's descending order. −0 is
-// folded into +0 first: the ratio comparisons treat them as equal, so their
-// keys must be equal too for the stable order to agree.
+// ratioKey maps a ratio to an unsigned key whose ascending order is the
+// ratio's descending order. −0 is folded into +0 first: the ratio
+// comparisons treat them as equal, so their keys must be equal too for the
+// stable order to agree. A NaN ratio compares false with every bound, so the
+// greedy never selects it: its key sorts past every other, at or past
+// selectFloorKey, where the walk stops.
 func ratioKey(r float64) uint64 {
+	if r != r {
+		return math.MaxUint64
+	}
 	b := math.Float64bits(r + 0)
 	if b>>63 != 0 {
 		return b // negative: a larger magnitude is a larger key
@@ -52,8 +57,8 @@ func ratioKey(r float64) uint64 {
 	return ^b &^ (1 << 63) // non-negative: a larger ratio is a smaller key
 }
 
-// selectFloorKey is ratioKey(−1): the scan only selects ratios above −1, so
-// the walk stops at the first candidate whose key is not below it.
+// selectFloorKey is ratioKey(−1): the greedy only selects ratios above −1,
+// so the walk stops at the first candidate whose key is not below it.
 var selectFloorKey = ratioKey(-1)
 
 // insertionMax is the longest list ordered without a bulk sort: a walk over
@@ -75,22 +80,34 @@ type walkScratch struct {
 	stash []step
 }
 
-// greedyWalk computes greedySolve's upgrade sequence by sorting every
-// upgrade step once and walking the sorted list. A step is available when
-// its core sits at the step's source mode; the walk's next candidate is the
+// greedyWalk is the greedy kernel: starting from the all-deepest vector, it
+// repeatedly applies the single-core, single-step upgrade with the highest
+// ΔBIPS/ΔPower ratio (upgradeDelta) that still fits the budget, ties to the
+// lowest core, and stops when no upgrade above ratio −1 fits. It sorts every
+// upgrade step once and walks the sorted list. A step is available when its
+// core sits at the step's source mode; the walk's next candidate is the
 // first available step ahead of its position, or the head of the side heap
 // when that comes first. A step the walk has passed enters the side heap
 // when it becomes available later (a successor whose ratio beats its
-// predecessor's, on a non-concave row) or when stashed steps are re-offered
-// after an upgrade lowered chip power. With non-negative power deltas,
-// infeasibility is monotone, so a stashed step never fits again otherwise.
+// predecessor's, on a non-concave row) or when stashed steps are re-offered.
 //
-// It reproduces the heap greedy it replaced step for step: the same vector,
-// the same node count (n for the first candidates, one per examined
+// Non-finite rows and budgets need two rules, and nothing else. A NaN ratio
+// is never selected (ratioKey). Stashed steps are re-offered whenever an
+// accepted step's power delta is not ≥ 0: a negative delta lowers chip
+// power, and a NaN one makes it NaN, after which every step fits. With
+// deltas ≥ 0, chip power never falls and infeasibility is monotone, so a
+// stashed step never fits again otherwise. TestGreedyWalkNonFinite pins the
+// walk to the O(n²·m) scan that defines the sequence, on instances poisoned
+// with NaN, ±Inf, 0 and −1.
+//
+// It also reproduces the heap greedy it replaced step for step: the same
+// vector, the same node count (n for the first candidates, one per examined
 // candidate, one per successor) and the same Checkpoint.Visit sequence, so
-// node-budget aborts land where they did. Callers must pre-check
-// finiteInstance: a NaN ratio has no order. The returned vector aliases w.v.
-// Like greedySolve, aborted reports this solve's own checkpoint trips.
+// node-budget aborts land where they did. The returned vector aliases w.v.
+// aborted reports this solve's own checkpoint trips, not the shared
+// checkpoint's latched flag, which another goroutine may have set after this
+// solve completed; an aborted walk returns the vector built so far, which
+// is feasible by construction.
 //
 // When cert is non-nil the walk narrows it to the budgets under which every
 // feasibility test it made would come out the same — accepted upgrades set
@@ -203,8 +220,9 @@ func greedyWalk(in Instance, cp *Checkpoint, w *walkScratch, cert *budgetCert) (
 		c := int(sel.core)
 		v[c]--
 		power += selDP
-		if selDP < 0 {
-			// Chip power went down: stashed upgrades may fit again.
+		if !(selDP >= 0) {
+			// Chip power went down or became NaN: stashed upgrades may fit
+			// again.
 			for _, s := range w.stash {
 				w.pushSide(s)
 			}

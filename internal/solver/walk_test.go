@@ -125,6 +125,55 @@ func TestGreedyWalkMatchesHeapAndScan(t *testing.T) {
 	}
 }
 
+// TestGreedyWalkNonFinite pins the walk's two non-finite rules to the scan
+// that defines the greedy's sequence: on random instances with NaN, ±Inf, 0
+// or −1 written into rows and budget, the walk returns the scan's vector.
+// No end-to-end run feeds the greedy such an instance, so this test is what
+// holds the rules. Dropping the NaN-ratio rule (a NaN key sorting ahead of
+// every ratio) or re-offering stashed steps only after a negative power
+// delta (not after a NaN one) each makes it fail. Every 50th instance is
+// wider than insertionMax, so the radix sort sees NaN keys too.
+func TestGreedyWalkNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	plans := []modes.Plan{plan3(), modes.Linear(5, 0.70, 1.300, 0.010)}
+	poison := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1}
+	var w walkScratch
+	const trials = 100_000
+	mismatches := 0
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + rng.Intn(10)
+		if trial%50 == 0 {
+			n = 25 + rng.Intn(40)
+		}
+		in := rowsInstance(rng, n, plans[trial%len(plans)])
+		m := in.NumModes()
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			x := poison[rng.Intn(len(poison))]
+			c, mo := rng.Intn(n), rng.Intn(m)
+			switch rng.Intn(5) {
+			case 0, 1:
+				in.Power[c][mo] = x
+			case 2, 3:
+				in.Instr[c][mo] = x
+			default:
+				in.BudgetW = x
+			}
+		}
+		wv, _, _ := greedyWalk(in, nil, &w, nil)
+		sv, _, _ := greedySolve(in, nil, nil)
+		if !wv.Equal(sv) {
+			if mismatches == 0 {
+				t.Errorf("trial %d: walk %v != scan %v on budget %g, power %v, instr %v",
+					trial, wv, sv, in.BudgetW, in.Power, in.Instr)
+			}
+			mismatches++
+		}
+	}
+	if mismatches > 0 {
+		t.Fatalf("walk and scan disagree on %d of %d poisoned instances", mismatches, trials)
+	}
+}
+
 // TestBudgetCertSound pins budgetCert: on random instances (exact ties,
 // non-concave rows, power-lowering upgrades) and in both tie modes, a cold
 // BB at any budget inside a completed cluster solve's [lo, hi) returns the
@@ -216,17 +265,22 @@ func TestBudgetCertSound(t *testing.T) {
 	}
 }
 
+// uncertified is BB under a type a session does not recognize: a session
+// over it solves cold, so its solves leave no certificate, and a Hier over
+// it re-solves every rebalance offer.
+type uncertified struct{ *BB }
+
 // TestHierClusterReuse pins that Hier's rebalance offers are answered from
 // certificates — a revert to re-solving every offer reads zero reuses — and
-// that the answers stay those of a stateless Hier, which re-solves every
-// offer, across telemetry drift and the 90 → 60 % budget step.
+// that the answers stay those of a Hier that re-solves every offer, across
+// telemetry drift and the 90 → 60 % budget step.
 func TestHierClusterReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	in := randInstance(77, 512, plan3(), 0.9)
 	turbo := in.BudgetW / 0.9
 	ses := NewSession(&Hier{ClusterSize: 8})
 	defer ses.Close()
-	cold := &Hier{ClusterSize: 8}
+	cold := &Hier{ClusterSize: 8, Inner: uncertified{&BB{}}}
 	for step := 0; step < 10; step++ {
 		frac := 0.9
 		if step >= 5 {
@@ -236,7 +290,7 @@ func TestHierClusterReuse(t *testing.T) {
 		cv, _ := cold.Solve(in)
 		wv, _ := ses.Solve(in, Hint{Vector: cv})
 		if !cv.Equal(wv) {
-			t.Fatalf("step %d: session %v != stateless %v", step, wv, cv)
+			t.Fatalf("step %d: session %v != re-solving %v", step, wv, cv)
 		}
 		in = driftInstance(rng, in)
 	}
