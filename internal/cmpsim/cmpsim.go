@@ -140,12 +140,14 @@ func (s *substrate) ModePowerW(c int, m modes.Mode) float64 {
 	return p
 }
 
-func (s *substrate) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) {
+func (s *substrate) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) (completed bool) {
 	for c, pl := range s.players {
 		if live[c] {
 			energyJ[c], instr[c] = pl.Advance(v[c], execSec)
+			completed = completed || pl.Completed()
 		}
 	}
+	return completed
 }
 
 func (s *substrate) Finished(c int) bool { return s.players[c].Completed() }

@@ -243,3 +243,66 @@ func TestGoldenReplayBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// completionWant pins runs that end at a program completion (§5.1): the
+// four profiles are cut to 1.5–2.25 M instructions, and crafty (core 2)
+// completes at 1.3 ms, in the middle of the third explore interval, ahead
+// of the others; in the guarded case core 3 has died at 600 µs. The values
+// were captured on the loop that polled every core's completion at every
+// delta.
+var completionWant = map[string]uint64{
+	"maxbips-60W":          0x2736abc391350c7,
+	"oracle-60W":           0xdf48d05286deb459,
+	"greedy-death-guarded": 0x913f51245d90a18e,
+}
+
+// TestGoldenCompletion pins a run through the trace substrate that stops at
+// a core's completion mid-interval: the truncated interval's samples, the
+// completed core's Done flag and FirstCompleted all enter the fingerprint.
+// Each case builds a fresh library, so the cut profiles reach no other
+// test. Re-capture as for TestGoldenControlLoop.
+func TestGoldenCompletion(t *testing.T) {
+	cases := []goldenCase{
+		{name: "maxbips-60W", opt: func() Options {
+			return Options{Budget: FixedBudget(60), Policy: core.MaxBIPS{}, Horizon: 8 * time.Millisecond}
+		}},
+		{name: "oracle-60W", opt: func() Options {
+			return Options{Budget: FixedBudget(60), Policy: core.Oracle{}, Horizon: 8 * time.Millisecond}
+		}},
+		{name: "greedy-death-guarded", opt: func() Options {
+			return Options{
+				Budget:  FixedBudget(55),
+				Policy:  core.GreedyMaxBIPS{},
+				Fault:   &fault.Scenario{Deaths: []fault.CoreDeath{{Core: 3, At: 600 * time.Microsecond}}},
+				Guard:   &core.GuardConfig{},
+				Horizon: 8 * time.Millisecond,
+			}
+		}},
+	}
+	capture := os.Getenv("GOLDEN_CAPTURE") != ""
+	for _, gc := range cases {
+		lib := testLib(t, 4)
+		for i, name := range fourWay().Benchmarks {
+			pr, err := lib.Profile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr.Spec.TotalInstructions = uint64(1_500_000 + 250_000*i)
+		}
+		res, err := Run(lib, fourWay(), gc.opt())
+		if err != nil {
+			t.Fatalf("%s: %v", gc.name, err)
+		}
+		if res.FirstCompleted < 0 || res.Elapsed >= 8*time.Millisecond || res.Elapsed%(500*time.Microsecond) == 0 {
+			t.Fatalf("%s: first completion %d at %v, want one mid-interval", gc.name, res.FirstCompleted, res.Elapsed)
+		}
+		got := goldenFingerprint(res)
+		if capture {
+			fmt.Printf("\t%q: %#x,\n", gc.name, got)
+			continue
+		}
+		if want := completionWant[gc.name]; got != want {
+			t.Errorf("%s: fingerprint %#x, want %#x — completion handling drifted", gc.name, got, want)
+		}
+	}
+}

@@ -48,6 +48,10 @@ type Matrices struct {
 	// matrices were laid out by MatricesInto (Power[c][m] == flatP[c*nm+m]).
 	// Solver sessions alias them for memo comparison and cluster slicing.
 	flatP, flatI []float64
+	// modeF is MatricesInto's per-call table of the factors that depend on
+	// the modes alone, carved from the same backing as the rows: nm power
+	// scales, nm frequency scales, then the nm×nm transition deratings.
+	modeF []float64
 
 	// Change-detection handshake, maintained by MatricesInto: genID uniquely
 	// identifies this backing (a fresh ID on every re-layout), gen is bumped
@@ -114,7 +118,9 @@ type Predictor struct {
 	Plan modes.Plan
 	// PowerScale maps a mode to its total-power scale relative to Turbo. If
 	// nil, the pure cubic V²f law of §5.5 is used. A design-time law that
-	// folds in leakage (power.Model.ScaleLaw) reduces the residual error.
+	// folds in leakage (power.Model.ScaleLaw) reduces the residual error. It
+	// must be a pure function of the mode: MatricesInto evaluates it once
+	// per mode and call, not once per core.
 	PowerScale func(m modes.Mode) float64
 	// ExploreSeconds is the decision interval length.
 	ExploreSeconds float64
@@ -162,13 +168,14 @@ func (p Predictor) MatricesInto(mx *Matrices, current modes.Vector, samples []Sa
 	// Reuse requires both the right shape and rows that alias our own flat
 	// layout (hand-shaped matrices are relaid so Flat stays truthful).
 	reuse := len(mx.Power) == n && len(mx.Instr) == n &&
-		len(mx.flatP) == n*nm && len(mx.flatI) == n*nm &&
+		len(mx.flatP) == n*nm && len(mx.flatI) == n*nm && len(mx.modeF) == nm*(nm+2) &&
 		(n == 0 || nm == 0 || (len(mx.Power[0]) == nm && len(mx.Instr[0]) == nm &&
 			&mx.Power[0][0] == &mx.flatP[0] && &mx.Instr[0][0] == &mx.flatI[0]))
 	if !reuse {
-		backing := make([]float64, 2*n*nm)
+		backing := make([]float64, 2*n*nm+nm*(nm+2))
 		mx.flatP = backing[: n*nm : n*nm]
-		mx.flatI = backing[n*nm:]
+		mx.flatI = backing[n*nm : 2*n*nm : 2*n*nm]
+		mx.modeF = backing[2*n*nm:]
 		mx.Power = make([][]float64, n)
 		mx.Instr = make([][]float64, n)
 		for c := 0; c < n; c++ {
@@ -188,6 +195,22 @@ func (p Predictor) MatricesInto(mx *Matrices, current modes.Vector, samples []Sa
 		mx.lastS = make([]Sample, n)
 		mx.lastM = make(modes.Vector, n)
 	}
+	// The factors that depend on the modes alone, once per call: the rows
+	// below take the same operands in the same order as evaluating them per
+	// core would, so every entry keeps its bits.
+	scale, freq, derate := mx.modeF[:nm], mx.modeF[nm:2*nm], mx.modeF[2*nm:]
+	derating := p.DerateTransitions && p.ExploreSeconds > 0
+	for a := 0; a < nm; a++ {
+		scale[a] = p.scale(modes.Mode(a))
+		freq[a] = p.Plan.FreqScale(modes.Mode(a))
+		if !derating {
+			continue
+		}
+		for b := 0; b < nm; b++ {
+			tr := p.Plan.TransitionTime(modes.Mode(a), modes.Mode(b)).Seconds()
+			derate[a*nm+b] = p.ExploreSeconds / (p.ExploreSeconds + tr)
+		}
+	}
 	newGen := mx.gen + 1
 	changed := false
 	for c := 0; c < n; c++ {
@@ -198,29 +221,33 @@ func (p Predictor) MatricesInto(mx *Matrices, current modes.Vector, samples []Sa
 		mx.lastS[c] = samples[c]
 		mx.lastM[c] = current[c]
 		changed = true
+		pw, in := mx.Power[c], mx.Instr[c]
 		if samples[c].Done {
 			// Completed cores predict zero in every mode; rows may be reused,
 			// so zero them explicitly.
-			for m := 0; m < nm; m++ {
-				mx.Power[c][m] = 0
-				mx.Instr[c][m] = 0
+			for m := range pw {
+				pw[m] = 0
+				in[m] = 0
 			}
 			continue
 		}
 		cur := current[c]
 		// Normalize the observation to Turbo, then project to each mode.
-		pTurbo := samples[c].PowerW / p.scale(cur)
-		iTurbo := samples[c].Instr / p.Plan.FreqScale(cur)
-		for m := 0; m < nm; m++ {
-			mode := modes.Mode(m)
-			mx.Power[c][m] = pTurbo * p.scale(mode)
-			instr := iTurbo * p.Plan.FreqScale(mode)
-			if p.DerateTransitions && mode != cur && p.ExploreSeconds > 0 {
-				tr := p.Plan.TransitionTime(cur, mode).Seconds()
-				instr *= p.ExploreSeconds / (p.ExploreSeconds + tr)
+		pTurbo := samples[c].PowerW / scale[cur]
+		iTurbo := samples[c].Instr / freq[cur]
+		der := derate[int(cur)*nm : int(cur)*nm+nm]
+		for m := range pw {
+			pw[m] = pTurbo * scale[m]
+			instr := iTurbo * freq[m]
+			if derating {
+				instr *= der[m]
 			}
-			mx.Instr[c][m] = instr
+			in[m] = instr
 		}
+		// Staying in the current mode costs no transition: its entry is
+		// rewritten underated, which keeps a per-mode branch out of the
+		// loop above.
+		in[cur] = iTurbo * freq[cur]
 	}
 	if changed {
 		mx.gen = newGen

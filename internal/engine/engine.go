@@ -51,10 +51,13 @@ type Substrate interface {
 	// vector v — the remainder of the delta interval is synchronized stall,
 	// which the engine charges separately — and fills energyJ/instr with
 	// each core's execution-window energy and committed instructions.
-	// Cores with live[c]==false must not advance and report zero.
-	DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64)
+	// Cores with live[c]==false must not advance and report zero. It
+	// returns whether a live core's program completed during the step.
+	DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) (completed bool)
 	// Finished reports that core c's program has completed (§5.1 stops the
-	// run at the first completion).
+	// run at the first completion). A core finishes only in Bootstrap or in
+	// a DeltaStep that reports a completion, so the loop polls Finished
+	// only once one of those has.
 	Finished(c int) bool
 	// Lookahead returns the oracle probe (§5.6), or nil if the substrate
 	// cannot see the future (the cycle-level chip cannot).
@@ -175,7 +178,12 @@ type Loop struct {
 	stageTraces []StageTrace
 	st          Step // the decision's middleware state, reused so it never escapes
 
-	current      modes.Vector // the vector in force; the loop is its only owner
+	current modes.Vector // the vector in force; the loop is its only owner
+	// anyDone is set once some core has finished: after a Bootstrap that
+	// left one finished (the cycle-level probe consumes simulated time) or
+	// a DeltaStep that reported a completion. Until then every Finished
+	// poll would answer false, so the loop skips them.
+	anyDone      bool
 	samples      []core.Sample
 	chipMeasured float64 // the independent chip-level (VRM) power sensor
 	lookahead    func(c int, m modes.Mode) (powerW, instr float64)
@@ -300,6 +308,7 @@ func New(sub Substrate, opt Options) (*Loop, error) {
 			l.samples[c] = core.Sample{}
 		}
 		l.chipMeasured += l.samples[c].PowerW
+		l.anyDone = l.anyDone || sub.Finished(c)
 	}
 
 	l.lookahead = sub.Lookahead()
@@ -372,7 +381,7 @@ func (l *Loop) decide() error {
 	// cold solve is cheapest to afford.
 	deadDone := 0
 	for c := 0; c < n; c++ {
-		if l.sub.Finished(c) || (l.inj != nil && l.inj.CoreDead(c, l.now)) {
+		if l.coreFinished(c) || (l.inj != nil && l.inj.CoreDead(c, l.now)) {
 			deadDone++
 		}
 	}
@@ -460,7 +469,7 @@ func (l *Loop) decide() error {
 	// intervals, and finished/dead states are monotone, so a stale
 	// entry could otherwise never be read — but zero makes that local.
 	for c := 0; c < n; c++ {
-		if l.sub.Finished(c) || (l.inj != nil && l.inj.CoreDead(c, l.now)) {
+		if l.coreFinished(c) || (l.inj != nil && l.inj.CoreDead(c, l.now)) {
 			l.stallPower[c] = 0
 			continue
 		}
@@ -516,6 +525,10 @@ func (l *Loop) decide() error {
 	return nil
 }
 
+// coreFinished reports core c's completion, polling the substrate only once
+// some core has finished.
+func (l *Loop) coreFinished(c int) bool { return l.anyDone && l.sub.Finished(c) }
+
 // invalidate drops the decider's solver session at a discontinuity and
 // counts it under the discontinuity's class, when the policy owns a session.
 func (l *Loop) invalidate(count *int) {
@@ -554,12 +567,15 @@ func (l *Loop) delta() {
 	l.stallLeft -= stl
 	exec := deltaSec - stl
 	for c := 0; c < n; c++ {
-		l.live[c] = !l.sub.Finished(c) && (l.inj == nil || !l.inj.CoreDead(c, l.now))
+		l.live[c] = !l.coreFinished(c) && (l.inj == nil || !l.inj.CoreDead(c, l.now))
 		l.execE[c], l.execI[c] = 0, 0
 	}
-	if exec > 0 {
-		l.sub.DeltaStep(l.current, exec, l.live, l.execE, l.execI)
+	if exec > 0 && l.sub.DeltaStep(l.current, exec, l.live, l.execE, l.execI) {
+		l.anyDone = true
 	}
+	// The run totals accumulate in locals, in the same order, so the adds
+	// do not wait on a store and reload through res each core.
+	totalInstr, energyJ := res.TotalInstr, res.EnergyJ
 	for c := 0; c < n; c++ {
 		var e, in float64
 		if l.live[c] {
@@ -575,9 +591,10 @@ func (l *Loop) delta() {
 		l.intervalPower[c] += rowP[c]
 		l.intervalInstr[c] += in
 		res.PerCoreInstr[c] += in
-		res.TotalInstr += in
-		res.EnergyJ += e
+		totalInstr += in
+		energyJ += e
 	}
+	res.TotalInstr, res.EnergyJ = totalInstr, energyJ
 	if l.opt.Thermal != nil {
 		l.opt.Thermal.State().Step(rowP, l.opt.DeltaSim)
 		if res.MaxTempC == nil {
@@ -592,7 +609,7 @@ func (l *Loop) delta() {
 	}
 	l.now += l.opt.DeltaSim
 	// §5.1 termination: stop when the first benchmark completes.
-	for c := 0; c < n; c++ {
+	for c := 0; l.anyDone && c < n; c++ {
 		if l.sub.Finished(c) {
 			res.FirstCompleted = c
 			l.done = true
@@ -614,7 +631,7 @@ func (l *Loop) foldSamples() {
 		l.samples[c] = core.Sample{
 			PowerW: l.intervalPower[c] / den,
 			Instr:  l.intervalInstr[c],
-			Done:   l.sub.Finished(c),
+			Done:   l.coreFinished(c),
 		}
 		l.chipMeasured += l.samples[c].PowerW
 	}

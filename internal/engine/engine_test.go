@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -55,7 +57,7 @@ func (s *fakeSub) ModePowerW(c int, m modes.Mode) float64 {
 	return s.baseP[c] * s.plan.PowerScale(m)
 }
 
-func (s *fakeSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) {
+func (s *fakeSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) (completed bool) {
 	for c := range live {
 		if !live[c] {
 			continue
@@ -63,7 +65,9 @@ func (s *fakeSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energy
 		energyJ[c] = s.baseP[c] * s.plan.PowerScale(v[c]) * execSec
 		instr[c] = s.rate[c] * s.plan.FreqScale(v[c]) * execSec
 		s.execSec[c] += execSec
+		completed = completed || s.Finished(c)
 	}
+	return completed
 }
 
 func (s *fakeSub) Finished(c int) bool {
@@ -280,23 +284,96 @@ func TestTruncatedIntervalAveragingEnginePath(t *testing.T) {
 	}
 }
 
+// pollSub reports a completion from every DeltaStep, so the loop polls
+// Finished for every core at every delta: the loop as it ran before
+// DeltaStep reported completions, and the reference the report is held to.
+type pollSub struct{ *fakeSub }
+
+func (s pollSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) bool {
+	s.fakeSub.DeltaStep(v, execSec, live, energyJ, instr)
+	return true
+}
+
 // TestEngineFirstCompletionStops checks the §5.1 termination rule through the
 // engine: the run ends at the first finished core, mid-interval, and the
-// truncated interval is still averaged correctly.
+// truncated interval is still averaged correctly. Each case also runs on a
+// substrate that reports a completion from every step, which makes the loop
+// poll every core at every delta, and the two Results must be identical:
+// skipping the polls until a step reports a completion changes nothing,
+// whether two cores complete in one delta, a core is finished before the
+// first step, or injector-dead cores (one of which would complete if it
+// ran) sit beside them.
 func TestEngineFirstCompletionStops(t *testing.T) {
 	plan := testPlan(t)
-	sub := newFakeSub(plan, []float64{20, 25, 20, 20}, []float64{4e9, 4e9, 4e9, 4e9}, 500e-6)
-	sub.doneAfter[2] = 720e-6 // completes inside the second explore interval
-	opt := baseOptions(t, plan, 4, 1e12)
-	res := runFake(t, sub, opt)
-	if res.FirstCompleted != 2 {
-		t.Errorf("FirstCompleted = %d, want 2", res.FirstCompleted)
+	cases := []struct {
+		name      string
+		doneAfter []float64 // seconds of execution to completion; 0: never
+		atBoot    []int     // cores finished before the run starts
+		deaths    []fault.CoreDeath
+		first     int
+		done      []int // cores the final samples mark Done
+	}{
+		{name: "one core", doneAfter: []float64{0, 0, 720e-6, 0}, first: 2, done: []int{2}},
+		{name: "two in one delta", doneAfter: []float64{0, 720e-6, 0, 0, 720e-6, 0}, first: 4, done: []int{1, 4},
+			deaths: []fault.CoreDeath{{Core: 3, At: 300 * time.Microsecond}, {Core: 5, At: 0}}},
+		{name: "dead would-be first", doneAfter: []float64{0, 0, 0, 100e-6, 900e-6, 0}, first: 4, done: []int{4},
+			deaths: []fault.CoreDeath{{Core: 3, At: 0}, {Core: 5, At: 250 * time.Microsecond}}},
+		{name: "finished at bootstrap", doneAfter: []float64{0, 300e-6, 0, 0, 0, 0}, atBoot: []int{1}, first: 1, done: []int{1},
+			deaths: []fault.CoreDeath{{Core: 4, At: 0}}},
 	}
-	if res.Elapsed >= opt.Horizon {
-		t.Errorf("run did not stop early (elapsed %v)", res.Elapsed)
-	}
-	if res.FinalSamples[2].Done != true {
-		t.Error("completed core not marked Done in final samples")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.doneAfter)
+			run := func(poll bool) *Result {
+				baseP, rate := make([]float64, n), make([]float64, n)
+				for c := range baseP {
+					baseP[c], rate[c] = 20+float64(c%3)*5, 4e9
+				}
+				fs := newFakeSub(plan, baseP, rate, 500e-6)
+				copy(fs.doneAfter, tc.doneAfter)
+				for _, c := range tc.atBoot {
+					fs.execSec[c] = fs.doneAfter[c]
+				}
+				opt := baseOptions(t, plan, n, 1e12)
+				if tc.deaths != nil {
+					inj, err := fault.NewInjector(fault.Scenario{Deaths: tc.deaths}, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.Injector = inj
+				}
+				var sub Substrate = fs
+				if poll {
+					sub = pollSub{fs}
+				}
+				res, err := Run(sub, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			res := run(false)
+			if res.FirstCompleted != tc.first {
+				t.Errorf("FirstCompleted = %d, want %d", res.FirstCompleted, tc.first)
+			}
+			if res.Elapsed >= 2*time.Millisecond {
+				t.Errorf("run did not stop early (elapsed %v)", res.Elapsed)
+			}
+			for c := range n {
+				if want := slices.Contains(tc.done, c); res.FinalSamples[c].Done != want {
+					t.Errorf("core %d: FinalSamples Done = %v, want %v", c, res.FinalSamples[c].Done, want)
+				}
+			}
+			// A core finished before the first step never runs.
+			for _, c := range tc.atBoot {
+				if res.PerCoreInstr[c] != 0 {
+					t.Errorf("core %d, finished at bootstrap, committed %v instructions", c, res.PerCoreInstr[c])
+				}
+			}
+			if ref := run(true); !reflect.DeepEqual(res, ref) {
+				t.Errorf("Result differs from the loop that polls every delta:\n got %+v\nwant %+v", res, ref)
+			}
+		})
 	}
 }
 

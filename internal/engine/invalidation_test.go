@@ -19,12 +19,13 @@ type driftSub struct {
 	steps int
 }
 
-func (s *driftSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) {
-	s.fakeSub.DeltaStep(v, execSec, live, energyJ, instr)
+func (s *driftSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) bool {
+	completed := s.fakeSub.DeltaStep(v, execSec, live, energyJ, instr)
 	s.steps++
 	if s.steps%10 == 0 { // once per explore interval (10 delta steps each)
 		s.rate[0] *= 1.0015
 	}
+	return completed
 }
 
 // invalObserver wraps a session-owning solver policy and verifies, decision

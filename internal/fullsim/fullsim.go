@@ -400,7 +400,7 @@ func (s *substrate) ModePowerW(c int, m modes.Mode) float64 {
 	return s.lastP[c] * s.ch.model.ScaleLaw(s.ch.plan, m) / ref
 }
 
-func (s *substrate) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) {
+func (s *substrate) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) (completed bool) {
 	s.ch.SetVector(v)
 	for c := range live {
 		if !live[c] && !s.parked[c] && s.ch.alive[c] {
@@ -419,7 +419,9 @@ func (s *substrate) DeltaStep(v modes.Vector, execSec float64, live []bool, ener
 		s.lastP[c] = p
 		energyJ[c] = p * execSec
 		instr[c] = float64(a.Committed)
+		completed = completed || s.Finished(c)
 	}
+	return completed
 }
 
 func (s *substrate) Finished(c int) bool { return !s.ch.alive[c] && !s.parked[c] }

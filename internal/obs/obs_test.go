@@ -43,7 +43,7 @@ func (s *fakeSub) ModePowerW(c int, m modes.Mode) float64 {
 	return s.baseP[c] * s.plan.PowerScale(m)
 }
 
-func (s *fakeSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) {
+func (s *fakeSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energyJ, instr []float64) bool {
 	for c := range live {
 		if !live[c] {
 			continue
@@ -51,6 +51,7 @@ func (s *fakeSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energy
 		energyJ[c] = s.baseP[c] * s.plan.PowerScale(v[c]) * execSec
 		instr[c] = s.rate[c] * s.plan.FreqScale(v[c]) * execSec
 	}
+	return false
 }
 
 func (s *fakeSub) Finished(c int) bool { return false }

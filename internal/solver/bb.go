@@ -81,7 +81,7 @@ type hullPt struct{ p, i float64 }
 // TestFrontierFastSortsBitIdentical). Non-finite entries (NaN keys) are only
 // handled by the stable sorts, so BB's body (BB.solve) passes fast only on a
 // finite instance.
-func (f *frontier) build(in Instance, fast bool) {
+func (f *frontier) build(in *Instance, fast bool) {
 	n, m := in.NumCores(), in.NumModes()
 	f.baseP = resizeFloats(f.baseP, n)
 	f.baseI = resizeFloats(f.baseI, n)
@@ -240,7 +240,7 @@ func (b *BB) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 // instead of a fresh vector.
 func (b *BB) solveCold(dst modes.Vector, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	cs := takeColdBB()
-	v, st, _ := b.solve(in, cp, &cs.bbScratch, &cs.walk, nil, nil)
+	v, st, _ := b.solve(&in, cp, &cs.bbScratch, &cs.walk, nil, nil)
 	// v may alias the walk or incumbent buffer: copy it out, and drop the
 	// references to the caller's matrices and checkpoint before giving the
 	// entry back.
@@ -262,7 +262,7 @@ func (b *BB) solveCold(dst modes.Vector, in Instance, cp *Checkpoint) (modes.Vec
 // On an instance with a NaN or infinite entry or budget, the frontier takes
 // the stable sorts, and the solve takes neither a warm floor nor a
 // certificate: both rest on the ordering arguments of finite arithmetic.
-func (b *BB) solve(in Instance, cp *Checkpoint, sc *bbScratch, w *walkScratch, hint modes.Vector, l *clusterLink) (_ modes.Vector, _ Stats, floored bool) {
+func (b *BB) solve(in *Instance, cp *Checkpoint, sc *bbScratch, w *walkScratch, hint modes.Vector, l *clusterLink) (_ modes.Vector, _ Stats, floored bool) {
 	start := time.Now()
 	if l != nil {
 		l.cert.ok = false
@@ -379,7 +379,7 @@ func giveColdBB(cs *coldBB) {
 // completion narrows it with its own evidence and marks it ok (see
 // budgetCert). The floor at any prune is at most the final optimum, which
 // is what lets a pruned node's evidence speak for the final answer.
-func (b *BB) solveFrom(in Instance, cp *Checkpoint, sc *bbScratch, gv modes.Vector, warmFloor float64, start time.Time, cert *budgetCert) (modes.Vector, Stats) {
+func (b *BB) solveFrom(in *Instance, cp *Checkpoint, sc *bbScratch, gv modes.Vector, warmFloor float64, start time.Time, cert *budgetCert) (modes.Vector, Stats) {
 	f := &sc.frontier
 	st := Stats{Solver: b.Name(), Exact: true}
 	eps := in.budgetEps()

@@ -64,8 +64,8 @@ func TestFrontierFastSortsBitIdentical(t *testing.T) {
 			}
 			for name, in := range cases {
 				slow := &frontier{}
-				slow.build(in, false)
-				fast.build(in, true)
+				slow.build(&in, false)
+				fast.build(&in, true)
 				for _, arr := range []struct {
 					what       string
 					slow, fast []float64
@@ -207,9 +207,9 @@ func TestColdBBNonFiniteMatchesFreshState(t *testing.T) {
 		b := &BB{LexTies: tie}
 		for i, in := range cases {
 			var sc bbScratch
-			sc.frontier.build(in, false)
+			sc.frontier.build(&in, false)
 			gv, _, _ := greedySolve(in, nil, nil)
-			want, wst := b.solveFrom(in, nil, &sc, gv, math.Inf(-1), time.Now(), nil)
+			want, wst := b.solveFrom(&in, nil, &sc, gv, math.Inf(-1), time.Now(), nil)
 			b.Solve(wide) // leaves the entry's buffers longer and dirty
 			got, st := b.Solve(in)
 			if !got.Equal(want) || st.Nodes != wst.Nodes || st.Pruned != wst.Pruned {

@@ -423,3 +423,51 @@ func TestSessionMemoDeadlineRace(t *testing.T) {
 		}
 	})
 }
+
+// TestMemoWithoutCopies pins the memo of sessions without the delta path
+// (Hier, node-budgeted BB): a tracked solve leaves an entry without matrix
+// copies, which answers the same backing at the same generation and misses
+// for another backing or for the same matrices untracked, and every answer
+// is the cold solve's. A delta session keeps its copies.
+func TestMemoWithoutCopies(t *testing.T) {
+	for _, s := range []Solver{&Hier{ClusterSize: 8}, WithDeadline(&BB{}, 0, 1<<22)} {
+		ses := NewSession(s)
+		ti := newTracked(11, 16, 0.75)
+		want := coldSolve(s, ti.in)
+		step := func(what string, in Instance, hit bool) {
+			t.Helper()
+			before := ses.Stats().MemoHits
+			v, st := ses.Solve(in, Hint{})
+			if st.Aborted {
+				t.Fatalf("%s %s: solve aborted", s.Name(), what)
+			}
+			if !v.Equal(want) {
+				t.Fatalf("%s %s: vector %v, want the cold %v", s.Name(), what, v, want)
+			}
+			if got := ses.Stats().MemoHits - before; got != map[bool]int64{false: 0, true: 1}[hit] {
+				t.Fatalf("%s %s: %d memo hits, want hit=%v", s.Name(), what, got, hit)
+			}
+		}
+		step("first solve", ti.in, false)
+		for i := range ses.memo {
+			if e := &ses.memo[i]; e.ok && (len(e.power) != 0 || len(e.instr) != 0) {
+				t.Fatalf("%s: tracked entry holds %d+%d copied entries, want none", s.Name(), len(e.power), len(e.instr))
+			}
+		}
+		step("same generation", ti.in, true)
+		other := ti.in
+		other.GenID++
+		step("another backing", other, false)
+		untracked := ti.in
+		untracked.Gens, untracked.Gen, untracked.GenID = nil, 0, 0
+		step("untracked", untracked, false)
+		ses.Close()
+	}
+	ses := NewSession(&BB{})
+	defer ses.Close()
+	ti := newTracked(11, 16, 0.75)
+	ses.Solve(ti.in, Hint{})
+	if e := &ses.memo[0]; len(e.power) != 16*3 || len(e.instr) != 16*3 {
+		t.Fatalf("delta session entry holds %d+%d copied entries, want %d each", len(e.power), len(e.instr), 16*3)
+	}
+}

@@ -60,7 +60,7 @@ func MaxBIPS(dst modes.Vector, in Instance) (modes.Vector, Stats) {
 // lexBBExact reports that in meets MaxBIPS's conditions for answering by
 // BB{LexTies: true}.
 func lexBBExact(in Instance) bool {
-	if !enumerable(in) || !finiteInstance(in) {
+	if !enumerable(in) || !finiteInstance(&in) {
 		return false
 	}
 	for _, row := range in.Instr {

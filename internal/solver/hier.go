@@ -82,6 +82,9 @@ type hierState struct {
 	out    modes.Vector
 	cur    []float64
 	used   []float64
+	// sub is the cluster instance being solved, refilled for every cluster
+	// solve and passed down by pointer.
+	sub Instance
 	// decision numbers the session's decisions; each link carries it, so a
 	// child reuses its BB frontier across the solves of one decision (same
 	// matrices, only the budget moves) and never across decisions.
@@ -193,12 +196,12 @@ func (h *Hier) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 		st.Elapsed = time.Since(start)
 		return v, st
 	}
-	return h.solveWith(in, cp, &hierState{}, Hint{})
+	return h.solveWith(&in, cp, &hierState{}, Hint{})
 }
 
 // solveWith is Hier's one body: hs carries the cross-interval state and
 // reusable buffers, hint the previously actuated chip vector.
-func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) (modes.Vector, Stats) {
+func (h *Hier) solveWith(in *Instance, cp *Checkpoint, hs *hierState, hint Hint) (modes.Vector, Stats) {
 	start := time.Now()
 	st := Stats{Solver: h.Name()}
 	// Paths that never touch hs.shares (Alpha == 0, single cluster, early
@@ -231,8 +234,9 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 		}
 		return h
 	}
-	sub := func(i int, shareW float64) Instance {
-		s := Instance{
+	sub := func(i int, shareW float64) *Instance {
+		s := &hs.sub
+		*s = Instance{
 			Plan:    in.Plan,
 			BudgetW: shareW,
 			Power:   in.Power[lo(i):hi(i)],
@@ -295,7 +299,7 @@ func (h *Hier) solveWith(in Instance, cp *Checkpoint, hs *hierState, hint Hint) 
 	hs.used = resizeFloats(hs.used, nc)
 	out, used := hs.out, hs.used
 	hs.ensureInner(h, nc, k, in.NumModes())
-	solveCluster := func(i int, s Instance) (modes.Vector, Stats) {
+	solveCluster := func(i int, s *Instance) (modes.Vector, Stats) {
 		var ch Hint
 		if len(hs.prev) == n {
 			ch.Vector = hs.prev[lo(i):hi(i)]

@@ -91,8 +91,9 @@ type Session struct {
 
 	// memo is a 2-entry ring of recently solved instances, so two
 	// alternating instances both hit. Entries hold session-owned copies of
-	// the matrices: callers reuse their matrix backing arrays in place
-	// between intervals, so stored references would always compare equal.
+	// the matrices (callers reuse their matrix backing arrays in place
+	// between intervals, so stored references would always compare equal),
+	// except where only the generation compare reads them (memoPut).
 	// Hier's cluster sessions run without it: their rebalance offers are
 	// answered by certificates instead (budgetCert).
 	memoOK   bool
@@ -129,7 +130,7 @@ type memoEntry struct {
 	ok           bool
 	n, m         int
 	budget       float64
-	power, instr []float64 // row-major n×m copies
+	power, instr []float64 // row-major n×m copies; empty for a tracked entry of a session without the delta path
 	vec          modes.Vector
 	stats        Stats
 
@@ -295,7 +296,7 @@ func (s *Session) Solve(in Instance, h Hint) (modes.Vector, Stats) {
 		s.cp.reset(s.wall, s.nodeBudget)
 		cp = s.cp
 	}
-	v, st := s.solveBounded(in, h, cp)
+	v, st := s.solveBounded(&in, h, cp)
 	if cp.Aborted() {
 		st.Aborted = true
 		st.Exact = false
@@ -306,7 +307,7 @@ func (s *Session) Solve(in Instance, h Hint) (modes.Vector, Stats) {
 // solveBounded is Solve with an externally owned checkpoint; Hier's
 // per-cluster child sessions are driven through it so cluster solves charge
 // nodes to their parent's budget.
-func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vector, Stats) {
+func (s *Session) solveBounded(in *Instance, h Hint, cp *Checkpoint) (modes.Vector, Stats) {
 	s.stats.Solves++
 	s.lastStable = false
 	if s.memoOK {
@@ -347,7 +348,7 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 	case Greedy:
 		v, st = b.solve(in, cp, &s.gs)
 	default:
-		v, st = SolveBounded(s.base, in, cp)
+		v, st = SolveBounded(s.base, *in, cp)
 	}
 	// An aborted solve's incumbent can be weaker than the hint (the DFS was
 	// cut before revisiting it); the hint is a feasible vector the previous
@@ -378,7 +379,7 @@ func (s *Session) solveBounded(in Instance, h Hint, cp *Checkpoint) (modes.Vecto
 // usableHint reports that the hint vector is shape-compatible with the
 // instance (right width, every mode in range). Feasibility is checked
 // separately at each use site, against the current matrices.
-func usableHint(in Instance, h Hint) bool {
+func usableHint(in *Instance, h Hint) bool {
 	n := in.NumCores()
 	if n == 0 || len(h.Vector) != n {
 		return false
@@ -395,7 +396,7 @@ func usableHint(in Instance, h Hint) bool {
 // finiteInstance reports that the budget and every matrix entry are finite.
 // BB's fast sorts, warm floor and certificates require it (BB.solve), and
 // so does MaxBIPS's exactness argument (lexBBExact).
-func finiteInstance(in Instance) bool {
+func finiteInstance(in *Instance) bool {
 	if !finite(in.BudgetW) {
 		return false
 	}
@@ -417,7 +418,7 @@ func finiteInstance(in Instance) bool {
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // tracked reports that the instance carries a usable generation handshake.
-func tracked(in Instance, n int) bool {
+func tracked(in *Instance, n int) bool {
 	return in.GenID != 0 && len(in.Gens) == n
 }
 
@@ -426,7 +427,7 @@ func tracked(in Instance, n int) bool {
 // "nodes saved" accounting stays honest. Tracked instances (generation
 // handshake present, same backing as the entry) are answered by an O(1)
 // generation compare; everything else falls back to the flat compare.
-func (s *Session) memoGet(in Instance) (modes.Vector, Stats, bool) {
+func (s *Session) memoGet(in *Instance) (modes.Vector, Stats, bool) {
 	n, m := in.NumCores(), in.NumModes()
 	isTracked := tracked(in, n)
 	for i := range s.memo {
@@ -441,8 +442,8 @@ func (s *Session) memoGet(in Instance) (modes.Vector, Stats, bool) {
 			if e.gen != in.Gen {
 				continue
 			}
-		} else if !matricesEqual(in, e.power, e.instr, m) {
-			continue
+		} else if len(e.power) != n*m || !matricesEqual(in, e.power, e.instr, m) {
+			continue // an entry without copies answers its own backing only
 		}
 		st := e.stats
 		st.Nodes, st.Pruned = 0, 0
@@ -455,14 +456,24 @@ func (s *Session) memoGet(in Instance) (modes.Vector, Stats, bool) {
 // memoPut stores a completed (non-aborted) solve. Aborted results are never
 // cached: node-budget aborts must stay deterministic per solve, and a
 // deadline abort is not a function of the instance at all.
-func (s *Session) memoPut(in Instance, v modes.Vector, st Stats) {
+//
+// A tracked instance in a session without the delta path is only ever
+// matched by its generation, so its entry keeps no matrix copies; memoGet
+// answers an untracked instance or another backing with a miss from it,
+// and a miss is always sound. tryDelta and buildCert read the copies, so
+// delta sessions keep them.
+func (s *Session) memoPut(in *Instance, v modes.Vector, st Stats) {
 	n, m := in.NumCores(), in.NumModes()
 	e := &s.memo[s.memoNext]
 	s.memoNext = (s.memoNext + 1) % len(s.memo)
 	e.ok = true
 	e.n, e.m, e.budget = n, m, in.BudgetW
-	e.power = copyMatrix(e.power[:0], in.Power, in.FlatPower, n*m)
-	e.instr = copyMatrix(e.instr[:0], in.Instr, in.FlatInstr, n*m)
+	if tracked(in, n) && !s.deltaOK {
+		e.power, e.instr = e.power[:0], e.instr[:0]
+	} else {
+		e.power = copyMatrix(e.power[:0], in.Power, in.FlatPower, n*m)
+		e.instr = copyMatrix(e.instr[:0], in.Instr, in.FlatInstr, n*m)
+	}
 	e.vec = append(e.vec[:0], v...)
 	e.stats = st
 	e.genID, e.gen = 0, 0
@@ -553,7 +564,7 @@ const (
 // O(n + K·m) with zero allocations. An uncertified patch demotes to a warm
 // hint for the full solve (a pruning-floor-only hint can never change the
 // result), and the half-updated certificate state is dropped.
-func (s *Session) tryDelta(in Instance, h *Hint) (modes.Vector, Stats, bool) {
+func (s *Session) tryDelta(in *Instance, h *Hint) (modes.Vector, Stats, bool) {
 	n, m := in.NumCores(), in.NumModes()
 	if !tracked(in, n) || n == 0 {
 		return nil, Stats{}, false
@@ -717,7 +728,7 @@ func (s *Session) tryDelta(in Instance, h *Hint) (modes.Vector, Stats, bool) {
 
 // matricesEqual compares the instance's matrices against a stored row-major
 // copy, using the caller-provided contiguous aliases when present.
-func matricesEqual(in Instance, power, instr []float64, m int) bool {
+func matricesEqual(in *Instance, power, instr []float64, m int) bool {
 	if fp, fi := in.FlatPower, in.FlatInstr; len(fp) == len(power) && len(fi) == len(instr) && len(fp) > 0 {
 		for i, p := range fp {
 			if power[i] != p {

@@ -194,7 +194,7 @@ func TestSessionNonFiniteMatchesCold(t *testing.T) {
 					}
 					in = p
 				}
-				if !finiteInstance(in) {
+				if !finiteInstance(&in) {
 					nonFinite++
 				}
 				cold := c.mk()
@@ -213,9 +213,9 @@ func TestSessionNonFiniteMatchesCold(t *testing.T) {
 					}
 				case *BB:
 					var sc bbScratch
-					sc.frontier.build(in, false)
+					sc.frontier.build(&in, false)
 					gv, _, _ := greedySolve(in, nil, nil)
-					if rv, _ := s.solveFrom(in, nil, &sc, gv, math.Inf(-1), time.Now(), nil); !wv.Equal(rv) {
+					if rv, _ := s.solveFrom(&in, nil, &sc, gv, math.Inf(-1), time.Now(), nil); !wv.Equal(rv) {
 						t.Fatalf("%s seed %d step %d: session %v != scan-seeded reference %v", c.name, seed, step, wv, rv)
 					}
 				}
@@ -269,7 +269,7 @@ func TestHeapGreedyMatchesScan(t *testing.T) {
 		t.Helper()
 		var g greedyScratch
 		hv, _, _ := heapGreedy(in, nil, &g)
-		wv, _, _ := greedyWalk(in, nil, &w, nil)
+		wv, _, _ := greedyWalk(&in, nil, &w, nil)
 		sv, _, _ := greedySolve(in, nil, nil)
 		if !sv.Equal(hv) || !sv.Equal(wv) {
 			t.Fatalf("%s: heap %v, walk %v, scan %v", name, hv, wv, sv)

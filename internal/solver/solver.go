@@ -244,7 +244,7 @@ func (g Greedy) SolveBounded(in Instance, cp *Checkpoint) (modes.Vector, Stats) 
 // free list and copies its vector into dst (see resizeVector).
 func (g Greedy) solveCold(dst modes.Vector, in Instance, cp *Checkpoint) (modes.Vector, Stats) {
 	cs := takeColdBB()
-	v, st := g.solve(in, cp, &cs.walk)
+	v, st := g.solve(&in, cp, &cs.walk)
 	dst = resizeVector(dst, len(v))
 	copy(dst, v)
 	giveColdBB(cs)
@@ -253,7 +253,7 @@ func (g Greedy) solveCold(dst modes.Vector, in Instance, cp *Checkpoint) (modes.
 
 // solve is the greedy's one body, run by cold solves and sessions alike: the
 // walk in w. The returned vector aliases w.
-func (g Greedy) solve(in Instance, cp *Checkpoint, w *walkScratch) (modes.Vector, Stats) {
+func (g Greedy) solve(in *Instance, cp *Checkpoint, w *walkScratch) (modes.Vector, Stats) {
 	start := time.Now()
 	v, nodes, aborted := greedyWalk(in, cp, w, nil)
 	return v, Stats{Solver: g.Name(), Nodes: nodes, Aborted: aborted, Elapsed: time.Since(start)}

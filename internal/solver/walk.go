@@ -112,7 +112,7 @@ type walkScratch struct {
 // When cert is non-nil the walk narrows it to the budgets under which every
 // feasibility test it made would come out the same — accepted upgrades set
 // lo, rejected ones hi — so the walk's vector holds on all of [lo, hi).
-func greedyWalk(in Instance, cp *Checkpoint, w *walkScratch, cert *budgetCert) (_ modes.Vector, nodes int64, aborted bool) {
+func greedyWalk(in *Instance, cp *Checkpoint, w *walkScratch, cert *budgetCert) (_ modes.Vector, nodes int64, aborted bool) {
 	n, m := in.NumCores(), in.NumModes()
 	w.v = resizeVector(w.v, n)
 	v := w.v

@@ -103,7 +103,7 @@ func TestGreedyWalkMatchesHeapAndScan(t *testing.T) {
 		case 1:
 			in = tiedInstance(rng, n, in.Plan)
 		}
-		wv, wn, wab := greedyWalk(in, nil, &w, nil)
+		wv, wn, wab := greedyWalk(&in, nil, &w, nil)
 		hv, hn, hab := heapGreedy(in, nil, &g)
 		sv, _, _ := greedySolve(in, nil, nil)
 		if !wv.Equal(hv) || wn != hn || wab != hab {
@@ -114,7 +114,7 @@ func TestGreedyWalkMatchesHeapAndScan(t *testing.T) {
 		}
 		for limit := int64(1); limit <= wn+1; limit += 1 + int64(rng.Intn(1+int(wn)/40)) {
 			wcp, hcp := NewCheckpoint(0, limit), NewCheckpoint(0, limit)
-			wv, wn, wab := greedyWalk(in, wcp, &w, nil)
+			wv, wn, wab := greedyWalk(&in, wcp, &w, nil)
 			wv = wv.Clone()
 			hv, hn, hab := heapGreedy(in, hcp, &g)
 			if !wv.Equal(hv) || wn != hn || wab != hab || wcp.Nodes() != hcp.Nodes() {
@@ -159,7 +159,7 @@ func TestGreedyWalkNonFinite(t *testing.T) {
 				in.BudgetW = x
 			}
 		}
-		wv, _, _ := greedyWalk(in, nil, &w, nil)
+		wv, _, _ := greedyWalk(&in, nil, &w, nil)
 		sv, _, _ := greedySolve(in, nil, nil)
 		if !wv.Equal(sv) {
 			if mismatches == 0 {

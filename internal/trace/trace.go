@@ -186,17 +186,36 @@ func (pr *Profile) jitter(chunk uint64) (rate, pw float64) {
 	return 1 + rateJitterAmp*u1, 1 + powerJitterAmp*u2
 }
 
+// guardBand scales a period or chunk boundary down to the position below
+// which a Player's cached index is still the exact quotient's (Player.sync).
+const guardBand = 1 - 0x1p-40
+
 // Player replays a profile; it is a small value type and may be copied to
 // obtain an independent lookahead cursor (oracle policies rely on this).
+//
+// Besides its position, a player caches what that position maps to: the
+// schedule period, the phase within it and the jitter chunk with its factors
+// and the next chunk's. Each cache holds while the position stays below a
+// limit a little under the next boundary, so a step divides only once, for
+// its duration (DESIGN.md §10.3).
 type Player struct {
 	pr  *Profile
 	pos float64 // program position in instructions
-	end bool
-	// chunk1 is one more than the jitter chunk whose factors rj/pj hold (0:
-	// none yet). Jitter hashes the benchmark name, and a player takes many
-	// steps and Behavior reads within one chunk.
-	chunk1 uint64
-	rj, pj float64
+	// base is float64(k)·PeriodInstr for the period index k of pos, and
+	// perLim the guard below float64(k+1)·PeriodInstr; 0 means not cached.
+	base, perLim float64
+	// phEnd is where the cached phase ph ends within the period, the same
+	// float sum the phase scan reaches.
+	phEnd float64
+	// chunk is the cached jitter chunk and chEnd its end, (chunk+1)·
+	// jitterChunk, exact in floats (0: not cached); rj/pj are the chunk's
+	// jitter factors and nrj/npj those of the chunk after it.
+	chunk    uint64
+	chEnd    float64
+	rj, pj   float64
+	nrj, npj float64
+	ph       int32
+	end      bool
 }
 
 // NewPlayer returns a player positioned at the start of the program.
@@ -214,35 +233,72 @@ func (p *Player) Position() float64 { return p.pos }
 // Completed reports whether the program has reached its TotalInstructions.
 func (p *Player) Completed() bool { return p.end }
 
-// periodPos returns the position within the current schedule period.
-func (p *Player) periodPos() float64 {
-	period := p.pr.PeriodInstr
-	return p.pos - float64(uint64(p.pos/period))*period
+// sync brings the period, phase and chunk caches up to the current
+// position. Below a cache's limit, uint64(pos/d) cannot have moved: a
+// rounding error of at most 2⁻⁵³ per operation cannot close the 2⁻⁴⁰ gap,
+// correctly rounded division is monotone, and pos never decreases (a step
+// adds rate·dt ≥ 0 or turns pos NaN, which fails every comparison). Within
+// one period the offset only grows, so the cached phase stays the scan's
+// answer until the offset reaches its end.
+func (p *Player) sync() {
+	pos := p.pos
+	if !(pos < p.perLim && pos >= p.base) {
+		p.enterPeriod()
+	} else if !(pos-p.base < p.phEnd) {
+		p.enterPhase(pos - p.base)
+	}
+	if !(pos < p.chEnd*guardBand && pos >= p.chEnd-jitterChunk) {
+		p.enterChunk()
+	}
 }
 
-// chunkJitter returns the jitter factors of the given chunk, hashing only
-// when the chunk differs from the cached one.
-func (p *Player) chunkJitter(chunk uint64) (rate, pw float64) {
-	if p.chunk1 != chunk+1 {
-		p.rj, p.pj = p.pr.jitter(chunk)
-		p.chunk1 = chunk + 1
+// enterPeriod recomputes the period cache, and the phase, at pos.
+func (p *Player) enterPeriod() {
+	period := p.pr.PeriodInstr
+	k := uint64(p.pos / period)
+	p.base = float64(k) * period
+	p.perLim = float64(k+1) * period * guardBand
+	p.enterPhase(p.pos - p.base)
+}
+
+// enterPhase rescans the phase at the given offset within the period.
+func (p *Player) enterPhase(posInPeriod float64) {
+	ph, end := p.pr.phaseEnd(posInPeriod)
+	p.ph, p.phEnd = int32(ph), end
+}
+
+// enterChunk recomputes the chunk cache at pos. Steps never cross a chunk
+// end, so pos nearly always lies in the chunk after the cached one: then
+// neither the chunk nor its end needs a division (chunk ends are whole
+// multiples of jitterChunk, exact in floats, so pos ≥ chEnd puts the
+// quotient at chunk+1 or above), and its factors were hashed when the
+// cached chunk was entered, off the dependency chain of the steps since.
+func (p *Player) enterChunk() {
+	pos := p.pos
+	if p.chEnd != 0 && pos >= p.chEnd && pos < (p.chEnd+jitterChunk)*guardBand {
+		p.chunk++
+		p.chEnd += jitterChunk
+		p.rj, p.pj = p.nrj, p.npj
+	} else {
+		p.chunk = uint64(pos / jitterChunk)
+		p.chEnd = (float64(p.chunk) + 1) * jitterChunk
+		p.rj, p.pj = p.pr.jitter(p.chunk)
 	}
-	return p.rj, p.pj
+	p.nrj, p.npj = p.pr.jitter(p.chunk + 1)
 }
 
 // Phase returns the index of the phase at the current position.
 func (p *Player) Phase() int {
-	ph, _ := p.pr.phaseEnd(p.periodPos())
-	return ph
+	p.sync()
+	return int(p.ph)
 }
 
 // Behavior returns the (jittered) instantaneous power and rate at the
 // current position under mode m.
 func (p *Player) Behavior(m modes.Mode) (powerW, ratePerSec float64) {
-	ph, _ := p.pr.phaseEnd(p.periodPos())
-	b := &p.pr.Behavior[m][ph]
-	rj, pj := p.chunkJitter(uint64(p.pos / jitterChunk))
-	return b.PowerW * pj, b.RatePerSec * rj
+	p.sync()
+	b := &p.pr.Behavior[m][p.ph]
+	return b.PowerW * p.pj, b.RatePerSec * p.rj
 }
 
 // Advance runs the player for `seconds` of wall time under mode m and
@@ -257,18 +313,16 @@ func (p *Player) Advance(m modes.Mode, seconds float64) (energyJ, instr float64)
 	total := float64(p.pr.Spec.TotalInstructions)
 	remaining := seconds
 	for remaining > 1e-15 && !p.end {
-		posInPeriod := p.periodPos()
-		ph, phaseEnd := p.pr.phaseEnd(posInPeriod)
-		b := &behavior[ph]
-		chunk := uint64(p.pos / jitterChunk)
-		rj, pj := p.chunkJitter(chunk)
-		rate := b.RatePerSec * rj
-		pw := b.PowerW * pj
+		p.sync()
+		posInPeriod := p.pos - p.base
+		b := &behavior[p.ph]
+		rate := b.RatePerSec * p.rj
+		pw := b.PowerW * p.pj
 
 		// Distance to the nearest behaviour boundary: phase edge, jitter
 		// chunk edge, or program completion.
-		toPhase := phaseEnd - posInPeriod
-		toChunk := (float64(chunk)+1)*jitterChunk - p.pos
+		toPhase := p.phEnd - posInPeriod
+		toChunk := p.chEnd - p.pos
 		toEnd := total - p.pos
 		dist := toPhase
 		if toChunk < dist {
