@@ -58,7 +58,7 @@ var (
 	flagBudget  = flag.Float64("budget", 0.80, "budget fraction of max chip power for 'run'")
 	flagHorizon = flag.Duration("horizon", 0, "override simulation horizon (e.g. 20ms)")
 	flagFault   = flag.String("fault", "", "fault scenario for 'run'/'resilience', e.g. \"seed=7,noise=0.05,stuck=1:0.5:2ms,death=3:8ms\" (see internal/fault.ParseScenario)")
-	flagGuard   = flag.Bool("guard", false, "guard 'run' with the ResilientManager (sanitization, emergency throttle, core parking)")
+	flagGuard   = flag.Bool("guard", false, "guard 'run' with the engine's guard (sanitization, emergency throttle, core parking)")
 	flagSolver  = flag.String("solver", "", "allocation solver for 'run'/'scaling': "+strings.Join(solver.Names(), "|")+" (for 'run', overrides -policy with a solver-backed MaxBIPS)")
 	flagCluster = flag.Int("clusters", 0, "hierarchical solver cluster size (0 = default 8)")
 	flagTrace   = flag.String("trace", "", "record the decision trace of 'run' to this JSONL file (for 'xcheck': record a <name>.cmpsim.jsonl/<name>.fullsim.jsonl pair)")

@@ -2,7 +2,7 @@
 // global power manager: at t=2 ms core 0's current sensor sticks at 0.5 W,
 // so the §5.5 predictions believe the core is nearly free and MaxBIPS hands
 // the whole budget to the other cores. Unguarded, the chip rides ~15% over
-// its power cap for the rest of the run; guarded, the ResilientManager
+// its power cap for the rest of the run; guarded, the engine's guard
 // cross-checks the per-core sensors against the chip-level measurement,
 // repairs the lying sample, and keeps the chip at the cap. At t=8 ms core 3
 // dies outright and the guard parks it, redistributing its budget share.

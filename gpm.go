@@ -203,11 +203,12 @@ type BudgetSpike = fault.BudgetSpike
 // "seed=7,noise=0.05,stuck=1:0.5:2ms,death=3:8ms".
 func ParseFaultScenario(spec string) (FaultScenario, error) { return fault.ParseScenario(spec) }
 
-// GuardConfig tunes the ResilientManager: sample sanitization, the hard-cap
-// emergency throttle, and dead-core parking. Zero fields select defaults.
+// GuardConfig arms the engine's guard around the manager: sample
+// sanitization, the hard-cap emergency throttle, and dead-core parking. It
+// has no fields; the guard's rules are fixed (DESIGN.md §6.2).
 type GuardConfig = core.GuardConfig
 
-// DefaultGuard returns the default guard configuration, spelled out.
+// DefaultGuard returns the guard configuration.
 func DefaultGuard() GuardConfig { return core.DefaultGuard() }
 
 // RunPolicyResilient is System.RunPolicy with a fault scenario and optional
@@ -239,11 +240,12 @@ func CrossSubstratePolicies() []Policy { return experiment.CrossSubstratePolicie
 
 // --- Decision supervisor & chaos soak (DESIGN.md §11) -----------------------
 
-// SupervisorConfig arms the engine's decision supervisor: deadline-bounded
-// solving (wall-clock watchdog and/or deterministic solver node budget), a
-// four-rung graceful-degradation ladder behind the configured policy, and a
-// budget-conformance gate on every actuated mode vector. Off by default;
-// set it via cmpsim.Options.Supervisor / fullsim.ManagedOptions.Supervisor.
+// SupervisorConfig arms the guard's decision supervisor: deadline-bounded
+// solving (wall-clock watchdog), a four-rung graceful-degradation ladder
+// behind the configured policy, and a budget-conformance gate on every
+// actuated mode vector, judged on the matrices the policy decided on. Off
+// by default; set it via cmpsim.Options.Supervisor /
+// fullsim.ManagedOptions.Supervisor.
 type SupervisorConfig = engine.SupervisorConfig
 
 // WithDeadline wraps any Solver with cooperative cancellation: the solve

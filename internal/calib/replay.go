@@ -28,9 +28,9 @@ type ReplayOptions struct {
 	// one for the replay's duration, so such a policy must not be shared by
 	// concurrent replays.
 	Policy core.Policy
-	// Guard arms the resilient manager around Policy, mirroring
-	// cmpsim.Options.Guard. Replays of guarded recordings must pass the
-	// recording's guard config for the identity to hold.
+	// Guard arms the engine's guard around Policy, mirroring
+	// cmpsim.Options.Guard. Replays of guarded recordings must pass it for
+	// the identity to hold.
 	Guard *core.GuardConfig
 	// History wraps the counterfactual predictor in a history-table phase
 	// predictor (fresh per replay), mirroring cmpsim.Options.History.
@@ -199,11 +199,6 @@ func Replay(t *obs.Trace, opt ReplayOptions) (*ReplayResult, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("calib: replay: trace records have empty mode vectors")
 	}
-	if opt.Guard != nil {
-		if err := opt.Guard.Validate(); err != nil {
-			return nil, fmt.Errorf("calib: replay: guard: %w", err)
-		}
-	}
 	var pred core.MatrixPredictor = opt.Predictor
 	if opt.History != nil {
 		if err := opt.History.Validate(); err != nil {
@@ -220,7 +215,7 @@ func Replay(t *obs.Trace, opt ReplayOptions) (*ReplayResult, error) {
 		}
 	}
 
-	decider := engine.NewDecider(opt.Plan, opt.Policy, pred, n, opt.Guard)
+	decider := engine.NewDecider(opt.Plan, opt.Policy, pred, n, opt.Guard, nil, nil)
 	defer decider.Close()
 
 	out := &ReplayResult{

@@ -50,10 +50,9 @@ type Options struct {
 	// perturbed observations while the simulated physics stay truthful. A
 	// nil or all-zero scenario leaves the sample path untouched.
 	Fault *fault.Scenario
-	// Guard, when non-nil, substitutes the ResilientManager for the plain
-	// manager: samples are sanitized, the hard-cap emergency throttle is
-	// armed, and dead cores are parked. GuardConfig zero fields select
-	// defaults, so &core.GuardConfig{} is a valid setting.
+	// Guard, when non-nil, arms the engine's guard around the manager:
+	// samples are sanitized, the hard-cap emergency throttle is armed, and
+	// dead cores are parked (engine.NewDecider).
 	Guard *core.GuardConfig
 	// History, when non-nil, wraps the run's predictor in a history-table
 	// phase predictor (core.HistoryPredictor): periodic per-core phase
@@ -67,12 +66,12 @@ type Options struct {
 	// obs.Collector keeps the trace in memory). Nil is the zero-overhead
 	// path.
 	Observer engine.Observer
-	// Supervisor, when non-nil, arms the engine's decision supervisor: the
-	// configured decider runs under a deadline/node budget with a graceful
-	// degradation ladder behind it, and every actuated vector passes a
-	// budget-conformance gate. Zero-value fields select defaults (the
-	// Predictor defaults to this run's predictor). Incompatible with Replay —
-	// replayed vectors must actuate verbatim.
+	// Supervisor, when non-nil, arms the guard's decision supervisor: the
+	// policy runs under a deadline with a graceful degradation ladder behind
+	// it, and every actuated vector passes a budget-conformance gate on the
+	// matrices the policy decided on. The guard then also sanitizes the
+	// samples the policy sees, with or without Guard. Incompatible with
+	// Replay: replayed vectors must actuate verbatim.
 	Supervisor *engine.SupervisorConfig
 	// Replay, when non-nil, re-drives the simulation from a recorded trace:
 	// the recorded mode vectors and budgets replace the policy and the
@@ -192,14 +191,14 @@ func build(lib *trace.Library, combo workload.Combo, opt Options) (engine.Substr
 	if opt.Horizon < 0 {
 		return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "Horizon", Value: opt.Horizon, Reason: "must be non-negative"}
 	}
-	if opt.Guard != nil {
-		if err := opt.Guard.Validate(); err != nil {
-			return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "Guard", Value: "", Reason: err.Error()}
+	if opt.Supervisor != nil {
+		if replaying {
+			return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "Supervisor", Value: "non-nil",
+				Reason: "incompatible with Replay: recorded vectors must actuate verbatim"}
 		}
-	}
-	if replaying && opt.Supervisor != nil {
-		return nil, engine.Options{}, &engine.OptionError{Component: "cmpsim", Field: "Supervisor", Value: "non-nil",
-			Reason: "incompatible with Replay: recorded vectors must actuate verbatim"}
+		if err := opt.Supervisor.Validate("cmpsim"); err != nil {
+			return nil, engine.Options{}, err
+		}
 	}
 	if opt.History != nil {
 		if replaying {
@@ -304,15 +303,8 @@ func build(lib *trace.Library, combo workload.Combo, opt Options) (engine.Substr
 		if opt.History != nil {
 			mp = core.NewHistoryPredictor(pred, *opt.History)
 		}
-		eopt.Decider = engine.NewDecider(plan, opt.Policy, mp, n, opt.Guard)
+		eopt.Decider = engine.NewDecider(plan, opt.Policy, mp, n, opt.Guard, opt.Supervisor, inj)
 		eopt.PolicyName = opt.Policy.Name()
-		if opt.Supervisor != nil {
-			sup := *opt.Supervisor
-			if sup.Predictor.Plan.NumModes() == 0 {
-				sup.Predictor = pred
-			}
-			eopt.Supervisor = &sup
-		}
 	}
 	return sub, eopt, nil
 }

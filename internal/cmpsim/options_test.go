@@ -2,7 +2,6 @@ package cmpsim
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -25,7 +24,6 @@ func TestOptionsValidation(t *testing.T) {
 		field string
 	}{
 		{"negative horizon", func(o *Options) { o.Horizon = -time.Millisecond }, "Horizon"},
-		{"NaN guard", func(o *Options) { o.Guard = &core.GuardConfig{OvershootFrac: math.NaN()} }, "Guard"},
 		{"supervisor with replay", func(o *Options) {
 			o.Supervisor = &engine.SupervisorConfig{}
 			o.Replay = &obs.Trace{Records: []obs.Record{{Vector: []int{0, 0, 0, 0}, BudgetW: 70}}}

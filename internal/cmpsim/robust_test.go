@@ -113,26 +113,27 @@ func TestFaultRunReproducible(t *testing.T) {
 
 // TestStuckAtLowGuardedVsUnguarded is the headline regression: one core's
 // power sensor sticks at a low value, so the §5.5 predictions believe the
-// core is nearly free and the policy hands the whole budget to the others.
-// The unguarded manager then violates the budget for the rest of the run;
-// the guarded manager's emergency throttle must engage within K explore
-// intervals and keep the sustained overshoot bounded.
+// core is cheaper than it is and the policy hands its share to the others.
+// The unguarded manager then violates the budget for the rest of the run.
+// A reading low enough to break the per-core sum's agreement with the
+// chip-level sensor is repaired by the guard's cross-check; one that stays
+// inside the cross-check's band is caught by the emergency throttle, which
+// must engage within K explore intervals and keep the sustained overshoot
+// bounded.
 func TestStuckAtLowGuardedVsUnguarded(t *testing.T) {
 	lib := testLib(t, 4)
 	base, err := Baseline(lib, fourWay())
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := 0.70 * base.MaxChipPowerW()
 	faultAt := 2 * time.Millisecond
 	horizon := 12 * time.Millisecond
-	sc := &fault.Scenario{Stuck: []fault.StuckFault{{Core: 0, PowerW: 0.5, At: faultAt}}}
 
-	run := func(guard *core.GuardConfig) *Result {
+	run := func(budget, stuckW float64, guard *core.GuardConfig) *Result {
 		res, err := Run(lib, fourWay(), Options{
 			Budget:  FixedBudget(budget),
 			Policy:  core.MaxBIPS{},
-			Fault:   sc,
+			Fault:   &fault.Scenario{Stuck: []fault.StuckFault{{Core: 0, PowerW: stuckW, At: faultAt}}},
 			Guard:   guard,
 			Horizon: horizon,
 		})
@@ -142,12 +143,15 @@ func TestStuckAtLowGuardedVsUnguarded(t *testing.T) {
 		return res
 	}
 
-	unguarded := run(nil)
-	// The guard path under test is the emergency throttle, so disable the
-	// chip-sensor cross-check that would repair the samples outright.
-	guardCfg := core.DefaultGuard()
-	guardCfg.RescaleMismatchFrac = -1
-	guarded := run(&guardCfg)
+	// Core 0 reads about 22.5 W at Turbo here; stuck at 15 W, the per-core
+	// sum misses the chip sensor by less than the cross-check's 10 % band,
+	// so the emergency throttle is the path under test.
+	budget := 0.80 * base.MaxChipPowerW()
+	unguarded := run(budget, 15, nil)
+	guarded := run(budget, 15, &core.GuardConfig{})
+	if guarded.RescaledIntervals != 0 {
+		t.Fatalf("the cross-check rescaled %d intervals: the stuck reading is not inside its band", guarded.RescaledIntervals)
+	}
 
 	// The unguarded manager must demonstrably violate the budget after the
 	// fault: most post-fault intervals over budget.
@@ -168,7 +172,7 @@ func TestStuckAtLowGuardedVsUnguarded(t *testing.T) {
 	if guarded.EmergencyEntries == 0 {
 		t.Fatal("guarded run never engaged the emergency throttle")
 	}
-	k := core.DefaultGuard().OvershootK
+	const k = 3 // the guard's overshoot run (engine.overshootK)
 	// First post-fault throttled explore interval: find the first all-deepest
 	// vector after the fault onset.
 	deepest := -1
@@ -201,9 +205,10 @@ func TestStuckAtLowGuardedVsUnguarded(t *testing.T) {
 	t.Logf("unguarded: %d/%d post-fault violations, worst %.3g W·s; guarded: %d entries, worst %.3g W·s, recovery %v",
 		over, post, unguarded.WorstOvershootWs, guarded.EmergencyEntries, guarded.WorstOvershootWs, guarded.RecoveryLatency)
 
-	// With the chip-sensor cross-check enabled (default guard) the manager
-	// repairs the lying sensor and keeps average power at or under budget.
-	repaired := run(&core.GuardConfig{})
+	// Stuck far lower, the chip-sensor cross-check repairs the lying sensor
+	// and keeps average power at or under budget.
+	budget = 0.70 * base.MaxChipPowerW()
+	repaired := run(budget, 0.5, &core.GuardConfig{})
 	if repaired.RescaledIntervals == 0 {
 		t.Error("default guard never cross-checked against the chip sensor")
 	}

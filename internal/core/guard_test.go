@@ -1,61 +1,86 @@
-package core
+package core_test
+
+// The guard that sanitizes a manager's samples and throttles it under a hard
+// cap lives in internal/engine, around core.Manager. These tests drive it
+// through engine.NewDecider, the way a front end arms it, from core's
+// external test package.
 
 import (
 	"math"
 	"testing"
 
+	"gpm/internal/core"
+	"gpm/internal/engine"
 	"gpm/internal/modes"
 )
 
-func newRM(n int, cfg GuardConfig) *rmDriver {
-	return &rmDriver{
-		ResilientManager: NewResilientManager(plan(), MaxBIPS{}, predictor(), n, cfg),
-		cur:              modes.Uniform(n, modes.Turbo),
+func guardPlan() modes.Plan { return modes.Default(1.300, 0.010) }
+
+func guardSamples(powers, instrs []float64) []core.Sample {
+	out := make([]core.Sample, len(powers))
+	for i := range powers {
+		out[i] = core.Sample{PowerW: powers[i], Instr: instrs[i]}
+	}
+	return out
+}
+
+// guardRig drives a guarded MaxBIPS manager the way the engine loop does:
+// it keeps the vector in force, passes it as Decision.Current and adopts
+// each answer.
+type guardRig struct {
+	engine.Decider
+	cur modes.Vector
+	rep core.Report
+}
+
+func newGuarded(n int) *guardRig {
+	pred := core.Predictor{Plan: guardPlan(), ExploreSeconds: 500e-6, DerateTransitions: true}
+	return &guardRig{
+		Decider: engine.NewDecider(guardPlan(), core.MaxBIPS{}, pred, n, &core.GuardConfig{}, nil, nil),
+		cur:     modes.Uniform(n, modes.Turbo),
 	}
 }
 
-// rmDriver drives a ResilientManager the way the engine loop does: it keeps
-// the vector in force, passes it as Decision.Current and adopts each answer.
-type rmDriver struct {
-	*ResilientManager
-	cur modes.Vector
-	rep Report
-}
-
-func (d *rmDriver) decide(budgetW, chipPowerW float64, s []Sample) modes.Vector {
-	v, rep := d.Decide(Decision{BudgetW: budgetW, ChipPowerW: chipPowerW, Current: d.cur, Samples: s})
+func (d *guardRig) decide(budgetW, chipPowerW float64, s []core.Sample) modes.Vector {
+	v, rep := d.Decide(core.Decision{BudgetW: budgetW, ChipPowerW: chipPowerW, Current: d.cur, Samples: s})
 	copy(d.cur, v)
 	d.rep = rep
 	return v
 }
 
 // inEmergency reports whether the last decision was the hard-cap throttle's.
-func (d *rmDriver) inEmergency() bool { return d.rep.Emergency }
+func (d *guardRig) inEmergency() bool { return d.rep.Emergency }
+
+// dead reports whether core c has been declared dead.
+func (d *guardRig) dead(c int) bool {
+	for _, x := range d.Stats().Guard.DeadCores {
+		if x == c {
+			return true
+		}
+	}
+	return false
+}
 
 func deepestVec(n int) modes.Vector {
-	return modes.Uniform(n, modes.Mode(plan().NumModes()-1))
+	return modes.Uniform(n, modes.Mode(guardPlan().NumModes()-1))
 }
 
-func TestGuardDefaultsFilled(t *testing.T) {
-	cfg := GuardConfig{}.withDefaults()
-	if cfg != DefaultGuard() {
-		t.Errorf("zero config resolved to %+v, want %+v", cfg, DefaultGuard())
-	}
-	// Explicit settings survive.
-	cfg = GuardConfig{OvershootK: 7, RecoverFrac: 0.5}.withDefaults()
-	if cfg.OvershootK != 7 || cfg.RecoverFrac != 0.5 {
-		t.Errorf("explicit values overwritten: %+v", cfg)
-	}
-}
+// The guard's fixed rules these tests count against (engine's overshootK,
+// recoverH and deadIntervals).
+const (
+	overshootK    = 3
+	recoverH      = 2
+	deadIntervals = 3
+)
 
 func TestSanitizeRejectsGarbage(t *testing.T) {
-	rm := newRM(2, GuardConfig{})
-	good := samples([]float64{20, 18}, []float64{1000, 900})
+	rm := newGuarded(2)
+	good := guardSamples([]float64{20, 18}, []float64{1000, 900})
 	rm.decide(100, 38, good)
 
-	bad := samples([]float64{math.NaN(), -5}, []float64{1000, 900})
+	bad := guardSamples([]float64{math.NaN(), -5}, []float64{1000, 900})
 	v := rm.decide(100, 38, bad)
-	if !plan().Valid(v[0]) || !plan().Valid(v[1]) {
+	if !guardPlan().Valid(v[0]) || !guardPlan().Valid(v[1]) {
 		t.Fatalf("invalid vector %v from garbage samples", v)
 	}
 	st := rm.Stats().Guard
@@ -64,7 +89,7 @@ func TestSanitizeRejectsGarbage(t *testing.T) {
 	}
 
 	// Infinity and over-range are rejected too.
-	bad = samples([]float64{math.Inf(1), 1e6}, []float64{1000, 900})
+	bad = guardSamples([]float64{math.Inf(1), 1e6}, []float64{1000, 900})
 	rm.decide(100, 38, bad)
 	if got := rm.Stats().Guard.SanitizedSamples; got != 4 {
 		t.Errorf("SanitizedSamples = %d, want 4", got)
@@ -72,12 +97,12 @@ func TestSanitizeRejectsGarbage(t *testing.T) {
 }
 
 func TestEWMAClampsOutliers(t *testing.T) {
-	rm := newRM(1, GuardConfig{})
+	rm := newGuarded(1)
 	for i := 0; i < 5; i++ {
-		rm.decide(100, 20, samples([]float64{20}, []float64{1000}))
+		rm.decide(100, 20, guardSamples([]float64{20}, []float64{1000}))
 	}
 	// A 10× spike is physically implausible between intervals.
-	rm.decide(100, 20, samples([]float64{200}, []float64{1000}))
+	rm.decide(100, 20, guardSamples([]float64{200}, []float64{1000}))
 	st := rm.Stats().Guard
 	if st.ClampedSamples != 1 {
 		t.Errorf("ClampedSamples = %d, want 1", st.ClampedSamples)
@@ -88,16 +113,15 @@ func TestEWMAClampsOutliers(t *testing.T) {
 }
 
 func TestEmergencyThrottleEngagesAndRecovers(t *testing.T) {
-	cfg := GuardConfig{OvershootK: 3, RecoverH: 2}
-	rm := newRM(2, cfg)
-	s := samples([]float64{30, 30}, []float64{1000, 1000})
+	rm := newGuarded(2)
+	s := guardSamples([]float64{30, 30}, []float64{1000, 1000})
 	budget := 50.0
 
 	// Two overshoots: still normal operation.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < overshootK-1; i++ {
 		rm.decide(budget, 60, s)
 		if rm.inEmergency() {
-			t.Fatalf("emergency after %d overshoots, want %d", i+1, cfg.OvershootK)
+			t.Fatalf("emergency after %d overshoots, want %d", i+1, overshootK)
 		}
 	}
 	// Third consecutive overshoot trips the guard.
@@ -117,7 +141,7 @@ func TestEmergencyThrottleEngagesAndRecovers(t *testing.T) {
 	// Second recovered interval releases the throttle this step.
 	v = rm.decide(budget, 40, s)
 	if rm.inEmergency() {
-		t.Fatal("guard still engaged after RecoverH recoveries")
+		t.Fatalf("guard still engaged after %d recoveries", recoverH)
 	}
 	if v.Equal(deepestVec(2)) {
 		t.Fatal("released guard should hand control back to the policy")
@@ -136,8 +160,8 @@ func TestEmergencyThrottleEngagesAndRecovers(t *testing.T) {
 }
 
 func TestOvershootRunMustBeConsecutive(t *testing.T) {
-	rm := newRM(1, GuardConfig{OvershootK: 3})
-	s := samples([]float64{30}, []float64{1000})
+	rm := newGuarded(1)
+	s := guardSamples([]float64{30}, []float64{1000})
 	for i := 0; i < 10; i++ {
 		rm.decide(50, 60, s) // over
 		rm.decide(50, 40, s) // under: resets the run
@@ -148,27 +172,26 @@ func TestOvershootRunMustBeConsecutive(t *testing.T) {
 }
 
 func TestDeadCoreDetectionAndParking(t *testing.T) {
-	cfg := GuardConfig{DeadIntervals: 3}
-	rm := newRM(2, cfg)
-	live := samples([]float64{20, 20}, []float64{1000, 1000})
+	rm := newGuarded(2)
+	live := guardSamples([]float64{20, 20}, []float64{1000, 1000})
 	rm.decide(100, 40, live)
 
-	halfDead := samples([]float64{20, 0}, []float64{1000, 0})
-	// First two zero intervals are treated as dropouts.
-	for i := 0; i < 2; i++ {
+	halfDead := guardSamples([]float64{20, 0}, []float64{1000, 0})
+	// The first zero intervals are treated as dropouts.
+	for i := 0; i < deadIntervals-1; i++ {
 		rm.decide(100, 20, halfDead)
-		if rm.Dead(1) {
-			t.Fatalf("core declared dead after %d zero intervals, want %d", i+1, cfg.DeadIntervals)
+		if rm.dead(1) {
+			t.Fatalf("core declared dead after %d zero intervals, want %d", i+1, deadIntervals)
 		}
 	}
 	v := rm.decide(100, 20, halfDead)
-	if !rm.Dead(1) {
+	if !rm.dead(1) {
 		t.Fatal("core not declared dead after DeadIntervals zero intervals")
 	}
-	if v[1] != modes.Mode(plan().NumModes()-1) {
+	if v[1] != modes.Mode(guardPlan().NumModes()-1) {
 		t.Errorf("dead core in mode %v, want parked at deepest", v[1])
 	}
-	if v[0] == modes.Mode(plan().NumModes()-1) && rm.inEmergency() {
+	if v[0] == modes.Mode(guardPlan().NumModes()-1) && rm.inEmergency() {
 		t.Error("live core throttled by a neighbour's death")
 	}
 	st := rm.Stats().Guard
@@ -177,16 +200,16 @@ func TestDeadCoreDetectionAndParking(t *testing.T) {
 	}
 
 	// A dropout counter resets on recovery.
-	rm2 := newRM(1, cfg)
-	zero := samples([]float64{0}, []float64{0})
-	ok := samples([]float64{20}, []float64{1000})
+	rm2 := newGuarded(1)
+	zero := guardSamples([]float64{0}, []float64{0})
+	ok := guardSamples([]float64{20}, []float64{1000})
 	rm2.decide(100, 20, ok)
 	rm2.decide(100, 20, zero)
 	rm2.decide(100, 20, zero)
 	rm2.decide(100, 20, ok)
 	rm2.decide(100, 20, zero)
 	rm2.decide(100, 20, zero)
-	if rm2.Dead(0) {
+	if rm2.dead(0) {
 		t.Error("interleaved dropouts declared a live core dead")
 	}
 }
@@ -194,18 +217,20 @@ func TestDeadCoreDetectionAndParking(t *testing.T) {
 func TestDeadCoreBudgetRedistributes(t *testing.T) {
 	// With one core dead, MaxBIPS should be able to keep the survivor at
 	// Turbo under a budget that previously forced both cores down.
-	rm := newRM(2, GuardConfig{DeadIntervals: 1})
+	rm := newGuarded(2)
 	budget := 25.0 // two 20 W cores cannot both run Turbo
-	both := samples([]float64{20, 20}, []float64{1000, 1000})
+	both := guardSamples([]float64{20, 20}, []float64{1000, 1000})
 	v := rm.decide(budget, 40, both)
 	if v[0] == modes.Turbo && v[1] == modes.Turbo {
 		t.Fatal("budget should not admit two Turbo cores")
 	}
-	// Report power consistent with the mode each core actually ran in.
-	p0 := 20 * plan().PowerScale(v[0])
-	dead1 := samples([]float64{p0, 0}, []float64{1000, 0})
-	v = rm.decide(budget, p0, dead1)
-	if !rm.Dead(1) {
+	// Core 1 reports nothing from here on; core 0 reports the power of the
+	// mode it actually ran in.
+	for i := 0; i < deadIntervals; i++ {
+		p0 := 20 * guardPlan().PowerScale(v[0])
+		v = rm.decide(budget, p0, guardSamples([]float64{p0, 0}, []float64{1000, 0}))
+	}
+	if !rm.dead(1) {
 		t.Fatal("core 1 not declared dead")
 	}
 	if v[0] != modes.Turbo {
@@ -214,10 +239,10 @@ func TestDeadCoreBudgetRedistributes(t *testing.T) {
 }
 
 func TestCrossCheckRescalesStuckLowSensor(t *testing.T) {
-	rm := newRM(2, GuardConfig{})
+	rm := newGuarded(2)
 	// Core 1's sensor is stuck at 0.5 W but the chip sensor reads the true
 	// 40 W total. Sanitized powers must be rescaled to sum to 40.
-	s := samples([]float64{20, 0.5}, []float64{1000, 1000})
+	s := guardSamples([]float64{20, 0.5}, []float64{1000, 1000})
 	rm.decide(100, 40, s)
 	if got := rm.Stats().Guard.RescaledIntervals; got != 1 {
 		t.Errorf("RescaledIntervals = %d, want 1", got)
@@ -231,13 +256,16 @@ func TestCrossCheckRescalesStuckLowSensor(t *testing.T) {
 
 func TestChipSensorFallback(t *testing.T) {
 	// A junk chip reading must not poison the guard: it falls back to the
-	// per-core sum, which here is under budget.
-	rm := newRM(1, GuardConfig{OvershootK: 1})
-	s := samples([]float64{20}, []float64{1000})
-	rm.decide(100, math.NaN(), s)
-	rm.decide(100, math.Inf(1), s)
-	rm.decide(100, -3, s)
-	if rm.inEmergency() {
+	// per-core sum, which here is under budget. Each junk value repeats for
+	// a full overshoot run, which would trip the throttle if it counted.
+	rm := newGuarded(1)
+	s := guardSamples([]float64{20}, []float64{1000})
+	for _, junk := range []float64{math.NaN(), math.Inf(1), -3} {
+		for i := 0; i < overshootK; i++ {
+			rm.decide(100, junk, s)
+		}
+	}
+	if rm.inEmergency() || rm.Stats().Guard.EmergencyEntries != 0 {
 		t.Error("junk chip readings tripped the guard")
 	}
 }

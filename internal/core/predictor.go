@@ -22,10 +22,17 @@ type MatrixPredictor interface {
 	// Explore returns the decision interval length in seconds, forwarded to
 	// policies via Context.ExploreSeconds.
 	Explore() float64
+	// Base returns the analytic last-value predictor underneath. It is a
+	// pure value, so it may predict beside another goroutine's MatricesInto
+	// on this predictor.
+	Base() Predictor
 }
 
 // Explore implements MatrixPredictor for the analytic last-value predictor.
 func (p Predictor) Explore() float64 { return p.ExploreSeconds }
+
+// Base implements MatrixPredictor: the analytic predictor is its own base.
+func (p Predictor) Base() Predictor { return p }
 
 // Compile-time proof that both predictors satisfy MatrixPredictor.
 var (
@@ -182,7 +189,7 @@ func NewHistoryPredictor(base Predictor, cfg HistoryConfig) *HistoryPredictor {
 // Explore implements MatrixPredictor by delegating to the base predictor.
 func (h *HistoryPredictor) Explore() float64 { return h.base.ExploreSeconds }
 
-// Base returns the wrapped analytic predictor.
+// Base implements MatrixPredictor: the wrapped analytic predictor.
 func (h *HistoryPredictor) Base() Predictor { return h.base }
 
 // Stats returns a copy of the table-activity counters.

@@ -27,8 +27,9 @@ func benchSub(b testing.TB, n int) *fakeSub {
 
 // benchLoop runs the engine over `horizon` once per iteration and reports
 // per-decision cost. The substrate is rebuilt each iteration (it is stateful),
-// but its construction is trivial next to the decision loop itself.
-func benchLoop(b *testing.B, n int, policy core.Policy, guard *core.GuardConfig, faulted bool, thermally bool) {
+// but its construction is trivial next to the decision loop itself. guard and
+// sup arm the guard and its supervisor; sc, when non-nil, injects faults.
+func benchLoop(b *testing.B, n int, policy core.Policy, guard *core.GuardConfig, sup *SupervisorConfig, sc *fault.Scenario, thermally bool) {
 	plan := testPlan(b)
 	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
 	horizon := 50 * time.Millisecond
@@ -36,20 +37,21 @@ func benchLoop(b *testing.B, n int, policy core.Policy, guard *core.GuardConfig,
 	budget := 0.75 * 21 * float64(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		var inj *fault.Injector
+		if sc != nil {
+			var err error
+			if inj, err = fault.NewInjector(*sc, n); err != nil {
+				b.Fatal(err)
+			}
+		}
 		opt := Options{
 			Plan:             plan,
 			Budget:           func(time.Duration) float64 { return budget },
-			Decider:          NewDecider(plan, policy, pred, n, guard),
+			Decider:          NewDecider(plan, policy, pred, n, guard, sup, inj),
 			DeltaSim:         50 * time.Microsecond,
 			DeltasPerExplore: 10,
 			Horizon:          horizon,
-		}
-		if faulted {
-			inj, err := fault.NewInjector(fault.Scenario{Seed: 7, PowerNoiseSigma: 0.05, DropProb: 0.01}, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt.Injector = inj
+			Injector:         inj,
 		}
 		if thermally {
 			st, err := thermal.NewState(thermal.Params{RthCPerW: 0.8, CthJPerC: 0.01, AmbientC: 45, LimitC: 100}, n)
@@ -70,28 +72,36 @@ func benchLoop(b *testing.B, n int, policy core.Policy, guard *core.GuardConfig,
 // manager and middleware configurations.
 func BenchmarkEngine(b *testing.B) {
 	b.Run("plain-maxbips/cores=4", func(b *testing.B) {
-		benchLoop(b, 4, core.MaxBIPS{}, nil, false, false)
+		benchLoop(b, 4, core.MaxBIPS{}, nil, nil, nil, false)
 	})
 	b.Run("guarded-maxbips/cores=4", func(b *testing.B) {
-		g := core.DefaultGuard()
-		benchLoop(b, 4, core.MaxBIPS{}, &g, false, false)
+		benchLoop(b, 4, core.MaxBIPS{}, &core.GuardConfig{}, nil, nil, false)
 	})
 	b.Run("fullchain-maxbips/cores=4", func(b *testing.B) {
-		g := core.DefaultGuard()
-		benchLoop(b, 4, core.MaxBIPS{}, &g, true, true)
+		sc := fault.Scenario{Seed: 7, PowerNoiseSigma: 0.05, DropProb: 0.01}
+		benchLoop(b, 4, core.MaxBIPS{}, &core.GuardConfig{}, nil, &sc, true)
+	})
+	// The guard path as the benchmark's guarded BB runs take it: the guard
+	// and a synchronous supervisor around a session BB bounded at 10,000
+	// nodes, under the fault profile experiment.DefaultFaultProfile gives
+	// rate 0.05 (power noise 0.05, counter noise 0.025, dropout 0.0125).
+	b.Run("guarded-supervised-bb/cores=4", func(b *testing.B) {
+		sc := fault.Scenario{Seed: 7, PowerNoiseSigma: 0.05, InstrNoiseSigma: 0.025, DropProb: 0.0125}
+		pol := core.NewSolverPolicy(solver.WithDeadline(&solver.BB{}, 0, 10_000))
+		benchLoop(b, 4, pol, &core.GuardConfig{}, &SupervisorConfig{NodeBudget: 10_000}, &sc, false)
 	})
 	b.Run("plain-greedy/cores=16", func(b *testing.B) {
-		benchLoop(b, 16, core.GreedyMaxBIPS{}, nil, false, false)
+		benchLoop(b, 16, core.GreedyMaxBIPS{}, nil, nil, nil, false)
 	})
 	// The cold/warm BB pair prices the solver session: cold solves every
 	// interval from scratch; warm rides the loop-owned session (memo on the
 	// noiseless substrate's repeating telemetry, hint-floored solves
 	// otherwise). Same solver, same instances — the gap is the session.
 	b.Run("cold-bb/cores=16", func(b *testing.B) {
-		benchLoop(b, 16, core.SolverPolicy{Solver: &solver.BB{}}, nil, false, false)
+		benchLoop(b, 16, core.SolverPolicy{Solver: &solver.BB{}}, nil, nil, nil, false)
 	})
 	b.Run("warm-bb/cores=16", func(b *testing.B) {
-		benchLoop(b, 16, core.NewSolverPolicy(&solver.BB{}), nil, false, false)
+		benchLoop(b, 16, core.NewSolverPolicy(&solver.BB{}), nil, nil, nil, false)
 	})
 }
 
@@ -116,7 +126,7 @@ func benchObserved(b *testing.B, obs Observer) {
 		opt := Options{
 			Plan:             plan,
 			Budget:           func(time.Duration) float64 { return 63 },
-			Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+			Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil, nil, nil),
 			DeltaSim:         50 * time.Microsecond,
 			DeltasPerExplore: 10,
 			Horizon:          horizon,
@@ -152,7 +162,7 @@ func TestObserverNilPathZeroAllocs(t *testing.T) {
 			opt := Options{
 				Plan:             plan,
 				Budget:           func(time.Duration) float64 { return 63 },
-				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil, nil, nil),
 				DeltaSim:         50 * time.Microsecond,
 				DeltasPerExplore: 10,
 				Horizon:          5 * time.Millisecond,
@@ -210,7 +220,7 @@ func nilPathMarginalAllocs(t *testing.T, plan modes.Plan, pred core.Predictor) f
 			opt := Options{
 				Plan:             plan,
 				Budget:           func(time.Duration) float64 { return 63 },
-				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil, nil, nil),
 				DeltaSim:         50 * time.Microsecond,
 				DeltasPerExplore: 10,
 				Horizon:          horizon,

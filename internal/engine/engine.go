@@ -13,10 +13,13 @@
 // guard interventions) in one Result. A Substrate supplies the simulated
 // hardware: bootstrap probe, per-delta advancement split into stall and
 // execution, completion reporting, and mode-power estimates for the stall
-// endpoints. A Decider supplies the manager — plain, resilient, supervised
-// or replayed — through one four-method contract (Decide, InvalidateSession,
-// Stats, Close); the loop owns the vector in force and probes the decider
-// for nothing else, so no `if guarded` forks survive in the loop.
+// endpoints. A Decider supplies the manager (plain, guarded or replayed)
+// through one four-method contract (Decide, InvalidateSession, Stats,
+// Close); the loop owns the vector in force and probes the decider for
+// nothing else, so no `if guarded` forks survive in the loop. The guard is
+// one stage around the manager: it sanitizes the samples, runs the hard-cap
+// throttle, and, when a supervisor is armed, bounds the policy by a
+// watchdog and gates its vector on the matrices it decided on (guard.go).
 package engine
 
 import (
@@ -67,8 +70,8 @@ type Substrate interface {
 }
 
 // Decider is the one contract between the loop and a global power manager.
-// Four types implement it: *core.Manager (plain), *core.ResilientManager
-// (guarded), the engine's decision supervisor, and obs.ReplayDecider.
+// Three types implement it: *core.Manager (plain), the engine's guard
+// (guarded, supervised or both), and obs.ReplayDecider.
 //
 // Vector ownership: the loop owns the vector in force and hands it over as
 // d.Current; no decider keeps a copy between decisions. The vector Decide
@@ -91,20 +94,24 @@ type Decider interface {
 	Close()
 }
 
-// Compile-time proof that the managers and the supervisor satisfy Decider.
+// Compile-time proof that the manager and the guard satisfy Decider.
 var (
 	_ Decider = (*core.Manager)(nil)
-	_ Decider = (*core.ResilientManager)(nil)
-	_ Decider = (*supervisor)(nil)
+	_ Decider = (*guard)(nil)
 )
 
-// NewDecider builds the manager for n cores over any core.MatrixPredictor:
-// guarded when guard is non-nil, plain otherwise.
-func NewDecider(plan modes.Plan, policy core.Policy, pred core.MatrixPredictor, n int, guard *core.GuardConfig) Decider {
-	if guard != nil {
-		return core.NewResilientManager(plan, policy, pred, n, *guard)
+// NewDecider builds the decision stack for n cores over any
+// core.MatrixPredictor: the plain manager, or the guard around it when
+// guardCfg arms the hard cap or sup arms the supervisor. Either one makes
+// the guard sanitize the samples. inj, when non-nil, supplies the injected
+// decision hangs the supervisor's watchdog abandons; callers validate sup
+// first (SupervisorConfig.Validate).
+func NewDecider(plan modes.Plan, policy core.Policy, pred core.MatrixPredictor, n int, guardCfg *core.GuardConfig, sup *SupervisorConfig, inj *fault.Injector) Decider {
+	m := core.NewManager(plan, policy, pred, n)
+	if guardCfg == nil && sup == nil {
+		return m
 	}
-	return core.NewManager(plan, policy, pred, n)
+	return newGuard(m, pred.Base(), plan, n, guardCfg != nil, sup, inj)
 }
 
 // Options configures one engine run. Plan, Budget, Decider, DeltaSim,
@@ -143,11 +150,6 @@ type Options struct {
 	// Explore is the explore interval for accounting (recovery latency);
 	// zero derives DeltaSim × DeltasPerExplore.
 	Explore time.Duration
-	// Supervisor, when non-nil, wraps the Decider in the decision
-	// supervisor: deadline-bounded solving, the graceful-degradation ladder,
-	// and the budget-conformance gate (see SupervisorConfig). Nil — the
-	// default — is the exact pre-supervisor decision path, bit for bit.
-	Supervisor *SupervisorConfig
 }
 
 // Loop is one in-flight engine run, carved out of the monolithic Run so a
@@ -170,7 +172,6 @@ type Loop struct {
 	inj     *fault.Injector
 	stages  []Stage
 	decider Decider
-	sup     *supervisor // non-nil when the decision supervisor is armed
 	res     *Result
 	obs     Observer
 
@@ -207,13 +208,10 @@ type Loop struct {
 
 	// Warm-start plumbing: the loop decides per interval whether the
 	// previous actuated vector is a valid hint, and when to invalidate the
-	// decider's solver session (sessionOn: the policy owns one). warmed is
-	// false on the first decision and after any discontinuity the previous
-	// interval (emergency throttle, supervisor degradation); budget jumps and
-	// core death/completion are re-checked at decision time against
+	// decider's solver session (sessionOn: the policy owns one). Budget
+	// jumps and core death/completion are checked at decision time against
 	// prevBudget/prevDeadDone.
 	sessionOn    bool
-	warmed       bool
 	prevBudget   float64
 	prevDeadDone int
 
@@ -259,14 +257,7 @@ func New(sub Substrate, opt Options) (*Loop, error) {
 		explore: explore,
 		inj:     inj,
 		stages:  stages,
-	}
-
-	// The decision supervisor, when armed, sits between the loop and the
-	// configured decider; the loop talks to whichever decider is outermost.
-	l.decider = opt.Decider
-	if opt.Supervisor != nil {
-		l.sup = newSupervisor(*opt.Supervisor, opt.Decider, inj, n)
-		l.decider = l.sup
+		decider: opt.Decider,
 	}
 
 	res := &Result{
@@ -376,16 +367,18 @@ func (l *Loop) decide() error {
 	// Warm-start hint: hand the previous actuated vector to the decider
 	// only while the decision context is continuous. A budget step of more
 	// than 25% (a spike or brownout) or any change in the dead/finished
-	// core population invalidates it — the previous vector is then a poor
+	// core population withholds it — the previous vector is then a poor
 	// (or shape-stale) seed, and a discontinuity is exactly when a fresh
-	// cold solve is cheapest to afford.
+	// cold solve is cheapest to afford. A guard intervention does not: the
+	// hint only raises BB's floor, and only once usableHint accepts it
+	// against the current instance (DESIGN.md §13.3).
 	deadDone := 0
 	for c := 0; c < n; c++ {
 		if l.coreFinished(c) || (l.inj != nil && l.inj.CoreDead(c, l.now)) {
 			deadDone++
 		}
 	}
-	warm := l.warmed
+	warm := res.Obs.Decisions > 0
 	if deadDone != l.prevDeadDone {
 		warm = false
 		// The live-core population changed shape: the session's memoized
@@ -420,23 +413,21 @@ func (l *Loop) decide() error {
 	if rep.Emergency {
 		res.Obs.GuardOverrides++
 	}
-	var sup Supervision
-	if l.sup != nil {
-		sup = l.sup.last
-		res.Obs.SupervisorRungs[sup.Rung]++
-		if sup.Rejected {
+	if rep.Supervised {
+		res.Obs.SupervisorRungs[rep.Rung]++
+		if rep.Rejected {
 			res.Obs.ConformanceRejects++
 		}
-		if sup.Repaired {
+		if rep.Repaired {
 			res.Obs.ConformanceRepairs++
 		}
-		if sup.TimedOut {
+		if rep.TimedOut {
 			res.Obs.DeadlineTimeouts++
 		}
-		if sup.Wedged {
+		if rep.Wedged {
 			res.Obs.WedgedDecisions++
 		}
-		if sup.Rung > 0 {
+		if rep.Rung > 0 {
 			res.Obs.DegradedDecisions++
 			l.degradedRun++
 			if l.degradedRun > res.Obs.LongestDegraded {
@@ -446,21 +437,17 @@ func (l *Loop) decide() error {
 			l.degradedRun = 0
 		}
 	}
-	// The vector adopted below is a valid warm seed for the next decision
-	// unless it did not come from the policy's own solve: the guard's
-	// emergency throttle and every supervisor intervention (degraded rung,
-	// abandoned or wedged solve) actuate vectors the solver never chose.
-	l.warmed = true
-	if rep.Emergency {
-		l.warmed = false
-		// The guard actuated a vector the solver never chose; the session's
-		// memo now disagrees with the chip state, so the next decision must
-		// not answer from it (or patch a delta on top of it).
-		l.invalidate(&res.Obs.InvalidateEmergency)
-	}
-	if l.sup != nil && (sup.Rung > 0 || sup.TimedOut || sup.Wedged) {
-		l.warmed = false
-		l.invalidate(&res.Obs.InvalidateDegraded)
+	// A guard intervention actuates a vector the policy's solver never
+	// chose: the hard-cap throttle, or a degraded rung (which an abandoned
+	// or wedged solve always lands on). The session's memo and delta
+	// certificate then disagree with the chip state, so the next decision
+	// must not answer from them or patch a delta on top of them.
+	if rep.Emergency || rep.Rung > 0 {
+		cause := &res.Obs.InvalidateDegraded
+		if rep.Emergency {
+			cause = &res.Obs.InvalidateEmergency
+		}
+		l.invalidate(cause)
 	}
 	stall := l.opt.Plan.MaxTransitionBetween(l.current, next)
 	// Per-core stall power: the worst-case endpoint of the transition
@@ -495,13 +482,13 @@ func (l *Loop) decide() error {
 			Stall:          stall,
 			DecideNs:       time.Since(t0).Nanoseconds(),
 		}
-		if l.sup != nil {
+		if rep.Supervised {
 			l.dt.Supervised = true
-			l.dt.SupRung = sup.Rung
-			l.dt.SupRejected = sup.Rejected
-			l.dt.SupRepaired = sup.Repaired
-			l.dt.SupPredPowerW = sup.PredPowerW
-			l.dt.SupTimedOut = sup.TimedOut
+			l.dt.SupRung = rep.Rung
+			l.dt.SupRejected = rep.Rejected
+			l.dt.SupRepaired = rep.Repaired
+			l.dt.SupPredPowerW = rep.PredPowerW
+			l.dt.SupTimedOut = rep.TimedOut
 		}
 		if rep.Candidate != nil && !rep.Candidate.Equal(next) {
 			l.dt.Candidate = rep.Candidate
@@ -660,7 +647,7 @@ func (l *Loop) StepDelta() (bool, error) {
 }
 
 // Close closes the decider: the policy's solver session and, when armed,
-// the supervisor's watchdog. Idempotent; the loop must not be stepped after.
+// the guard's watchdog. Idempotent; the loop must not be stepped after.
 // Finish calls it.
 func (l *Loop) Close() {
 	if l.closed {

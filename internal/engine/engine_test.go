@@ -103,7 +103,7 @@ func baseOptions(t testing.TB, plan modes.Plan, n int, budgetW float64) Options 
 	return Options{
 		Plan:             plan,
 		Budget:           func(time.Duration) float64 { return budgetW },
-		Decider:          NewDecider(plan, core.MaxBIPS{}, pred, n, nil),
+		Decider:          NewDecider(plan, core.MaxBIPS{}, pred, n, nil, nil, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          2 * time.Millisecond,

@@ -37,6 +37,7 @@ func (s *driftSub) DeltaStep(v modes.Vector, execSec float64, live []bool, energ
 type invalObserver struct {
 	*core.SolverPolicy
 	invalidated    bool
+	decisions      int
 	coldAfterInval int
 	badAfterInval  int
 }
@@ -47,6 +48,7 @@ func (p *invalObserver) InvalidateSession() {
 }
 
 func (p *invalObserver) Decide(ctx core.Context) modes.Vector {
+	p.decisions++
 	before, _ := p.SessionStats()
 	v := p.SolverPolicy.Decide(ctx)
 	after, _ := p.SessionStats()
@@ -67,7 +69,7 @@ func deltaOptions(t *testing.T, plan modes.Plan, pol core.Policy, n int, budget 
 	return Options{
 		Plan:             plan,
 		Budget:           budget,
-		Decider:          NewDecider(plan, pol, pred, n, nil),
+		Decider:          NewDecider(plan, pol, pred, n, nil, nil, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          4 * time.Millisecond, // 8 decisions
@@ -165,32 +167,35 @@ func TestEngineCoreDeathInvalidatesSession(t *testing.T) {
 }
 
 // TestEngineEmergencyInvalidatesSession pins the guard discontinuity: under
-// an unmeetable budget (OvershootK=1 engages the throttle on the very first
-// decision) the guard actuates the deepest floor — a vector the solver never
-// chose — so every interval is an emergency interval, each one must
-// invalidate the session, and neither the memo nor the delta path may ever
-// answer a decision.
+// an unmeetable budget the throttle engages once the overshoot run reaches
+// its length and never releases, actuating the deepest floor, a vector the
+// solver never chose. Every throttled interval must invalidate the session,
+// the policy must not run while throttled, and neither the memo nor a
+// certified delta may ever answer a decision.
 func TestEngineEmergencyInvalidatesSession(t *testing.T) {
 	plan := testPlan(t)
 	sub := newFakeSub(plan, []float64{20, 18, 15, 17}, []float64{900, 1000, 700, 850}, 500e-6)
 	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
-	pol := core.NewSolverPolicy(&solver.BB{})
+	pol := &invalObserver{SolverPolicy: core.NewSolverPolicy(&solver.BB{})}
 	opt := deltaOptions(t, plan, pol, 4, func(time.Duration) float64 { return 1 })
-	opt.Decider = NewDecider(plan, pol, pred, 4, &core.GuardConfig{OvershootK: 1})
+	opt.Decider = NewDecider(plan, pol, pred, 4, &core.GuardConfig{}, nil, nil)
 	res, err := Run(sub, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Obs.GuardOverrides != res.Obs.Decisions {
-		t.Fatalf("GuardOverrides = %d of %d decisions, want all (unmeetable budget): %+v",
-			res.Obs.GuardOverrides, res.Obs.Decisions, res.Obs)
+	if want := res.Obs.Decisions - (overshootK - 1); res.Obs.GuardOverrides != want {
+		t.Fatalf("GuardOverrides = %d of %d decisions, want all but the first %d (unmeetable budget): %+v",
+			res.Obs.GuardOverrides, res.Obs.Decisions, overshootK-1, res.Obs)
 	}
 	if res.Obs.InvalidateEmergency != res.Obs.GuardOverrides {
 		t.Fatalf("InvalidateEmergency = %d != GuardOverrides = %d",
 			res.Obs.InvalidateEmergency, res.Obs.GuardOverrides)
 	}
-	if res.Obs.DeltaSolves != 0 || res.Obs.SolverMemoHits != 0 {
-		t.Fatalf("memo/delta answered a decision during emergency throttling: %+v", res.Obs)
+	if pol.decisions != overshootK-1 {
+		t.Fatalf("the policy decided %d times, want only the %d intervals before the throttle engaged", pol.decisions, overshootK-1)
+	}
+	if res.Obs.SolverMemoHits != 0 || res.Obs.DeltaCertified != 0 {
+		t.Fatalf("memo/delta answered a decision around emergency throttling: %+v", res.Obs)
 	}
 }
 
@@ -224,14 +229,14 @@ func TestEngineDegradedInvalidatesSession(t *testing.T) {
 	opt := Options{
 		Plan:             plan,
 		Budget:           budget,
-		Decider:          NewDecider(plan, pol, pred, n, nil),
+		Decider:          NewDecider(plan, pol, pred, n, nil, &SupervisorConfig{Deadline: deadline}, inj),
 		DeltaSim:         explore / 10,
 		DeltasPerExplore: 10,
 		Horizon:          5 * time.Millisecond,
 		Injector:         inj,
 		Stages:           append(DefaultChain(budget, "", inj, nil), pacerStage{50 * time.Microsecond}),
 	}
-	res, err := Run(sub, supervised(opt, SupervisorConfig{Deadline: deadline, Predictor: pred}))
+	res, err := Run(sub, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,9 +122,9 @@ func (f FaultObserve) Apply(st *Step) error {
 
 // DefaultChain assembles the canonical stage order — budget source →
 // fault-injected budget → thermal clamp → fault-injected observation — from
-// whichever components are configured. The guard (core.ResilientManager via
-// GuardedDecider) is the chain's terminal consumer rather than a Stage: it
-// owns the decision itself.
+// whichever components are configured. The guard (built by NewDecider) is
+// the chain's terminal consumer rather than a Stage: it owns the decision
+// itself.
 func DefaultChain(budget func(time.Duration) float64, errPrefix string, inj *fault.Injector, gov *thermal.Governor) []Stage {
 	chain := []Stage{BudgetSource{Fn: budget, ErrPrefix: errPrefix}}
 	if inj != nil {

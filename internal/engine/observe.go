@@ -31,8 +31,8 @@ type DecisionTrace struct {
 	Now time.Duration
 	// BudgetW is the final budget handed to the decider, after every stage.
 	BudgetW float64
-	// ChipPowerW is the independent chip-level (VRM) measurement the guarded
-	// manager cross-checks against.
+	// ChipPowerW is the independent chip-level (VRM) measurement the guard
+	// cross-checks against.
 	ChipPowerW float64
 	// TrueSamples are the substrate's honest observations; Samples are what
 	// the manager actually saw (identical unless a fault stage intervened).
@@ -46,15 +46,16 @@ type DecisionTrace struct {
 	Candidate modes.Vector
 	// Final is the mode vector adopted for the coming interval.
 	Final modes.Vector
-	// GuardEmergency reports that the resilient manager's hard-cap throttle
-	// made this decision instead of the policy.
+	// GuardEmergency reports that the guard's hard-cap throttle made this
+	// decision instead of the policy.
 	GuardEmergency bool
 	// Stall is the synchronized DVFS transition stall charged for the switch.
 	Stall time.Duration
 	// DecideNs is the wall-clock latency of the decider's Decide.
 	DecideNs int64
-	// Supervised reports the decision ran under the decision supervisor
-	// (Options.Supervisor); the Sup* fields below are meaningful only then.
+	// Supervised reports the decision ran under the guard's supervisor
+	// (core.Report.Supervised); the Sup* fields below are meaningful only
+	// then.
 	Supervised bool
 	// SupRung is the degradation-ladder rung that produced Final: 0 the
 	// configured decider, 1 the shared greedy kernel, 2 the last-known-good
@@ -64,8 +65,9 @@ type DecisionTrace struct {
 	// SupRepaired reports Final was produced by greedy demotion repair.
 	SupRejected bool
 	SupRepaired bool
-	// SupPredPowerW is the supervisor's own predicted chip power for Final
-	// (the value the conformance gate compared against the budget).
+	// SupPredPowerW is the predicted chip power of Final on the decision's
+	// one set of matrices (the value the conformance gate compared against
+	// the budget).
 	SupPredPowerW float64
 	// SupTimedOut reports the watchdog abandoned the configured decider
 	// mid-solve this interval (wall-clock dependent, so excluded from
@@ -104,17 +106,18 @@ type ObsCounters struct {
 	// The first stage (the budget source) seeds the budget rather than
 	// overriding one and is never counted.
 	StageOverrides []StageOverride
-	// GuardOverrides counts decisions the resilient manager's emergency
-	// throttle made in place of the policy (core.Report.Emergency).
+	// GuardOverrides counts decisions the guard's hard-cap throttle made in
+	// place of the policy (core.Report.Emergency).
 	GuardOverrides int
 	// SolverNodes accumulates allocation-solver search nodes across
 	// decisions, when the policy is solver-backed and counting is wired
 	// (core.SolverPolicy.NodeCount), read from Decider.Stats at Finish.
 	SolverNodes int64
 	// WarmHints counts decisions handed the previous actuated vector as a
-	// warm-start hint (the loop withholds it across discontinuities: first
-	// decision, budget jumps, core death/completion, emergency throttle,
-	// supervisor degradation).
+	// warm-start hint. The loop withholds it on the first decision and
+	// across budget jumps and core death/completion; after a guard
+	// intervention (hard-cap throttle, degraded rung) it keeps it, since a
+	// hint only raises BB's floor once usableHint accepts it.
 	WarmHints int
 	// SolverMemoHits/SolverWarmSolves/SolverHintReturns/SolverPruned
 	// snapshot the solver session's cumulative counters at Finish, when the
@@ -139,8 +142,9 @@ type ObsCounters struct {
 	// Invalidate* count the session invalidations the loop issued through
 	// Decider.InvalidateSession per discontinuity class, when the policy owns
 	// a session: budget steps beyond the warm-hint tolerance, core
-	// death/completion changing the live set, emergency throttles, and
-	// supervisor degradation (rung > 0, watchdog timeout, or wedge).
+	// death/completion changing the live set, hard-cap throttles, and
+	// supervisor degradation (rung > 0, which every watchdog timeout and
+	// wedge lands on). A throttled decision counts as an emergency only.
 	InvalidateBudgetStep int
 	InvalidateCoreDeath  int
 	InvalidateEmergency  int
@@ -157,8 +161,8 @@ type ObsCounters struct {
 	ConformanceRejects int
 	ConformanceRepairs int
 	// DeadlineTimeouts counts decisions the supervisor's watchdog abandoned
-	// mid-solve; WedgedDecisions counts decisions that skipped the configured
-	// decider entirely because an abandoned solve was still running.
+	// mid-solve; WedgedDecisions counts decisions that skipped the policy
+	// entirely because an abandoned solve was still running.
 	DeadlineTimeouts int
 	WedgedDecisions  int
 	// DegradedDecisions counts decisions actuated from a rung above 0;

@@ -53,13 +53,5 @@ func (opt *Options) validate() error {
 	if opt.Explore < 0 {
 		return fail("Explore", opt.Explore, "must be non-negative")
 	}
-	if opt.Supervisor != nil {
-		if err := opt.Supervisor.Validate(); err != nil {
-			if oe, ok := err.(*OptionError); ok {
-				oe.Component = comp
-			}
-			return err
-		}
-	}
 	return nil
 }

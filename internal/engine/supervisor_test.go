@@ -44,8 +44,12 @@ func (o *supObserver) Decision(t *DecisionTrace) {
 
 func (o *supObserver) RunEnd(r *Result) {}
 
-func supervised(opt Options, cfg SupervisorConfig) Options {
-	opt.Supervisor = &cfg
+// supervised returns opt with its decider rebuilt as MaxBIPS under the
+// guard's supervisor, on the same plan, width and injector.
+func supervised(opt Options, n int, cfg SupervisorConfig) Options {
+	opt.Decider.Close()
+	pred := core.Predictor{Plan: opt.Plan, ExploreSeconds: 500e-6}
+	opt.Decider = NewDecider(opt.Plan, core.MaxBIPS{}, pred, n, nil, &cfg, opt.Injector)
 	return opt
 }
 
@@ -56,7 +60,6 @@ func supervised(opt Options, cfg SupervisorConfig) Options {
 // rung 0 with no rejects, repairs, or timeouts.
 func TestSupervisorHappyPathIdenticalResult(t *testing.T) {
 	plan := testPlan(t)
-	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
 	mk := func() (*fakeSub, Options) {
 		sub := newFakeSub(plan, []float64{20, 18, 16, 14}, []float64{4e9, 3e9, 2e9, 1e9}, 500e-6)
 		opt := baseOptions(t, plan, 4, 0.75*68)
@@ -67,7 +70,7 @@ func TestSupervisorHappyPathIdenticalResult(t *testing.T) {
 	plain := runFake(t, sub, opt)
 
 	sub2, opt2 := mk()
-	res := runFake(t, sub2, supervised(opt2, SupervisorConfig{Predictor: pred}))
+	res := runFake(t, sub2, supervised(opt2, 4, SupervisorConfig{}))
 
 	if len(res.Modes) != len(plain.Modes) {
 		t.Fatalf("supervised run made %d decisions, unsupervised %d", len(res.Modes), len(plain.Modes))
@@ -143,7 +146,7 @@ func TestSupervisorStallAcceptance64(t *testing.T) {
 	opt := Options{
 		Plan:             plan,
 		Budget:           budget,
-		Decider:          NewDecider(plan, pol, pred, n, nil),
+		Decider:          NewDecider(plan, pol, pred, n, nil, &SupervisorConfig{Deadline: deadline}, inj),
 		DeltaSim:         explore / 10,
 		DeltasPerExplore: 10,
 		Horizon:          horizon,
@@ -151,10 +154,7 @@ func TestSupervisorStallAcceptance64(t *testing.T) {
 		Observer:         obs,
 		Stages:           append(DefaultChain(budget, "", inj, nil), pacerStage{50 * time.Microsecond}),
 	}
-	res := runFake(t, sub, supervised(opt, SupervisorConfig{
-		Deadline:  deadline,
-		Predictor: pred,
-	}))
+	res := runFake(t, sub, opt)
 
 	wantIv := int(horizon / explore)
 	if res.Obs.Decisions != wantIv || len(obs.recs) != wantIv {
@@ -200,13 +200,14 @@ func isDeepest(plan modes.Plan, v modes.Vector) bool {
 // TestSupervisorConformanceProperty is the property test behind the chaos
 // harness's conformance invariant: across seeded random fault schedules (in
 // deterministic sync mode), the supervisor never actuates a vector whose
-// predicted power exceeds budget × (1+tol) — except the uniform deepest
-// floor, which is the least the chip can draw and is actuated regardless.
+// predicted power exceeds budget × (1+GuardTolerance) — except the uniform
+// deepest floor, which is the least the chip can draw and is actuated
+// regardless.
 func TestSupervisorConformanceProperty(t *testing.T) {
 	plan := testPlan(t)
 	const n = 8
 	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
-	tol := 0.02
+	tol := GuardTolerance
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sc := fault.Scenario{Seed: seed + 1}
@@ -234,14 +235,14 @@ func TestSupervisorConformanceProperty(t *testing.T) {
 		opt := Options{
 			Plan:             plan,
 			Budget:           func(time.Duration) float64 { return budget },
-			Decider:          NewDecider(plan, core.MaxBIPS{}, pred, n, nil),
+			Decider:          NewDecider(plan, core.MaxBIPS{}, pred, n, nil, &SupervisorConfig{}, inj),
 			DeltaSim:         50 * time.Microsecond,
 			DeltasPerExplore: 10,
 			Horizon:          10 * time.Millisecond,
 			Injector:         inj,
 			Observer:         obs,
 		}
-		res := runFake(t, sub, supervised(opt, SupervisorConfig{ToleranceFrac: tol, Predictor: pred}))
+		res := runFake(t, sub, opt)
 		if res.Obs.Decisions == 0 {
 			t.Fatalf("seed %d: no decisions", seed)
 		}
@@ -263,7 +264,6 @@ func TestSupervisorConformanceProperty(t *testing.T) {
 // harness's determinism invariant relies on.
 func TestSupervisorSyncDeterministic(t *testing.T) {
 	plan := testPlan(t)
-	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
 	run := func() (*Result, []supRecord) {
 		inj, err := fault.NewInjector(fault.Scenario{Seed: 5, PowerNoiseSigma: 0.2, DropProb: 0.1,
 			Spikes: []fault.BudgetSpike{{At: time.Millisecond, Duration: 2 * time.Millisecond, Scale: 0.05}}}, 4)
@@ -276,7 +276,7 @@ func TestSupervisorSyncDeterministic(t *testing.T) {
 		opt.Injector = inj
 		opt.Observer = obs
 		res := runFake(t, newFakeSub(plan, []float64{20, 18, 16, 14}, []float64{4e9, 3e9, 2e9, 1e9}, 500e-6),
-			supervised(opt, SupervisorConfig{Predictor: pred}))
+			supervised(opt, 4, SupervisorConfig{}))
 		return res, obs.recs
 	}
 	r1, t1 := run()
@@ -291,42 +291,38 @@ func TestSupervisorSyncDeterministic(t *testing.T) {
 	}
 }
 
-// TestOptionsValidate is the table-driven typed-error check for engine.Options.
+// TestOptionsValidate is the table-driven typed-error check for
+// engine.Options and the SupervisorConfig front ends pass to NewDecider.
 func TestOptionsValidate(t *testing.T) {
 	plan := testPlan(t)
-	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
 	good := func() Options { return baseOptions(t, plan, 4, 60) }
 	cases := []struct {
 		name  string
 		mut   func(*Options)
+		sup   *SupervisorConfig // validated in place of the options when set
 		field string
 	}{
-		{"nil decider", func(o *Options) { o.Decider = nil }, "Decider"},
-		{"nil budget", func(o *Options) { o.Budget = nil }, "Budget"},
-		{"zero delta", func(o *Options) { o.DeltaSim = 0 }, "DeltaSim"},
-		{"negative delta", func(o *Options) { o.DeltaSim = -time.Microsecond }, "DeltaSim"},
-		{"zero deltas per explore", func(o *Options) { o.DeltasPerExplore = 0 }, "DeltasPerExplore"},
-		{"negative horizon", func(o *Options) { o.Horizon = -time.Millisecond }, "Horizon"},
-		{"negative explore", func(o *Options) { o.Explore = -time.Millisecond }, "Explore"},
-		{"negative supervisor deadline", func(o *Options) {
-			o.Supervisor = &SupervisorConfig{Deadline: -1, Predictor: pred}
-		}, "Supervisor.Deadline"},
-		{"negative node budget", func(o *Options) {
-			o.Supervisor = &SupervisorConfig{NodeBudget: -1, Predictor: pred}
-		}, "Supervisor.NodeBudget"},
-		{"NaN tolerance", func(o *Options) {
-			o.Supervisor = &SupervisorConfig{ToleranceFrac: math.NaN(), Predictor: pred}
-		}, "Supervisor.ToleranceFrac"},
-		{"missing supervisor predictor", func(o *Options) {
-			o.Supervisor = &SupervisorConfig{}
-		}, "Supervisor.Predictor"},
+		{"nil decider", func(o *Options) { o.Decider = nil }, nil, "Decider"},
+		{"nil budget", func(o *Options) { o.Budget = nil }, nil, "Budget"},
+		{"zero delta", func(o *Options) { o.DeltaSim = 0 }, nil, "DeltaSim"},
+		{"negative delta", func(o *Options) { o.DeltaSim = -time.Microsecond }, nil, "DeltaSim"},
+		{"zero deltas per explore", func(o *Options) { o.DeltasPerExplore = 0 }, nil, "DeltasPerExplore"},
+		{"negative horizon", func(o *Options) { o.Horizon = -time.Millisecond }, nil, "Horizon"},
+		{"negative explore", func(o *Options) { o.Explore = -time.Millisecond }, nil, "Explore"},
+		{"negative supervisor deadline", nil, &SupervisorConfig{Deadline: -1}, "Supervisor.Deadline"},
+		{"negative node budget", nil, &SupervisorConfig{NodeBudget: -1}, "Supervisor.NodeBudget"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := good()
-			tc.mut(&opt)
-			sub := newFakeSub(plan, []float64{20, 18, 16, 14}, []float64{4e9, 3e9, 2e9, 1e9}, 500e-6)
-			_, err := Run(sub, opt)
+			var err error
+			if tc.sup != nil {
+				err = tc.sup.Validate("engine")
+			} else {
+				opt := good()
+				tc.mut(&opt)
+				sub := newFakeSub(plan, []float64{20, 18, 16, 14}, []float64{4e9, 3e9, 2e9, 1e9}, 500e-6)
+				_, err = Run(sub, opt)
+			}
 			if err == nil {
 				t.Fatal("accepted")
 			}
@@ -334,8 +330,8 @@ func TestOptionsValidate(t *testing.T) {
 			if !errors.As(err, &oe) {
 				t.Fatalf("error %T (%v) is not *OptionError", err, err)
 			}
-			if oe.Field != tc.field {
-				t.Fatalf("rejected field %q, want %q", oe.Field, tc.field)
+			if oe.Field != tc.field || oe.Component != "engine" {
+				t.Fatalf("rejected %s field %q, want engine field %q", oe.Component, oe.Field, tc.field)
 			}
 		})
 	}
@@ -350,16 +346,17 @@ func TestSupervisorHappyPathZeroMarginalAllocs(t *testing.T) {
 	pred := core.Predictor{Plan: plan, ExploreSeconds: 500e-6}
 	run := func(sup bool, horizon time.Duration) float64 {
 		return testing.AllocsPerRun(10, func() {
+			var cfg *SupervisorConfig
+			if sup {
+				cfg = &SupervisorConfig{}
+			}
 			opt := Options{
 				Plan:             plan,
 				Budget:           func(time.Duration) float64 { return 63 },
-				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil),
+				Decider:          NewDecider(plan, core.MaxBIPS{}, pred, 4, nil, cfg, nil),
 				DeltaSim:         50 * time.Microsecond,
 				DeltasPerExplore: 10,
 				Horizon:          horizon,
-			}
-			if sup {
-				opt.Supervisor = &SupervisorConfig{Predictor: pred}
 			}
 			if _, err := Run(benchSub(t, 4), opt); err != nil {
 				t.Fatal(err)

@@ -38,7 +38,7 @@ func recorderOptions(t *testing.T, plan modes.Plan, rec *hintRecorder, n int, bu
 	return Options{
 		Plan:             plan,
 		Budget:           budget,
-		Decider:          NewDecider(plan, rec, pred, n, nil),
+		Decider:          NewDecider(plan, rec, pred, n, nil, nil, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          3 * time.Millisecond, // 6 decisions
@@ -151,7 +151,7 @@ func TestEngineSessionCounters(t *testing.T) {
 	opt := Options{
 		Plan:             plan,
 		Budget:           func(time.Duration) float64 { return 55 },
-		Decider:          NewDecider(plan, pol, pred, 4, nil),
+		Decider:          NewDecider(plan, pol, pred, 4, nil, nil, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          3 * time.Millisecond,
@@ -169,5 +169,50 @@ func TestEngineSessionCounters(t *testing.T) {
 	// The engine closed the session at Finish; the policy must report cold.
 	if _, on := pol.SessionStats(); on {
 		t.Fatal("session still open after Finish")
+	}
+}
+
+// chipReading overrides the chip-level (VRM) reading the decider sees at
+// the decisions before until.
+type chipReading struct {
+	until time.Duration
+	w     float64
+}
+
+func (s chipReading) Name() string { return "chip-reading" }
+
+func (s chipReading) Apply(st *Step) error {
+	if st.Now < s.until {
+		st.ChipPowerW = s.w
+	}
+	return nil
+}
+
+// TestWarmHintKeptAfterGuardIntervention pins that a guard intervention
+// drops the session state but not the warm hint: the chip sensor reads far
+// over budget for the first three decisions, so the hard cap throttles the
+// third and fourth, and the first policy decision after it is handed the
+// floor the throttle actuated.
+func TestWarmHintKeptAfterGuardIntervention(t *testing.T) {
+	plan := testPlan(t)
+	sub := newFakeSub(plan, []float64{20, 18, 15, 17}, []float64{900, 1000, 700, 850}, 500e-6)
+	rec := &hintRecorder{inner: core.MaxBIPS{}}
+	budget := func(time.Duration) float64 { return 55 }
+	opt := recorderOptions(t, plan, rec, 4, budget)
+	opt.Decider.Close()
+	opt.Decider = NewDecider(plan, rec, core.Predictor{Plan: plan, ExploreSeconds: 500e-6}, 4, &core.GuardConfig{}, nil, nil)
+	opt.Stages = []Stage{BudgetSource{Fn: budget}, chipReading{until: 1200 * time.Microsecond, w: 1e3}}
+	res := runFake(t, sub, opt)
+
+	// Decisions at 0 and 0.5 ms run the policy; 1.0 and 1.5 ms are the
+	// throttle's; 2.0 ms (released) and 2.5 ms run the policy again.
+	if res.Obs.GuardOverrides != 2 || len(rec.hints) != 4 {
+		t.Fatalf("%d throttled decisions, %d policy decisions; want 2 and 4: %+v", res.Obs.GuardOverrides, len(rec.hints), res.Obs)
+	}
+	if floor := modes.Uniform(4, modes.Mode(plan.NumModes()-1)); !rec.hints[2].Equal(floor) {
+		t.Fatalf("first decision after the throttle got hint %v, want the actuated floor %v", rec.hints[2], floor)
+	}
+	if want := res.Obs.Decisions - 1; res.Obs.WarmHints != want {
+		t.Fatalf("Obs.WarmHints = %d, want every decision but the first (%d)", res.Obs.WarmHints, want)
 	}
 }

@@ -16,10 +16,11 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// R2: chaos soak. The decision supervisor (engine.SupervisorConfig) promises
-// that no matter what the fault injectors do to the telemetry, the budget or
-// the decision path, every actuated vector conforms to the budget under the
-// supervisor's own predictions and the system recovers once faults clear.
+// R2: chaos soak. The guard's decision supervisor (engine.SupervisorConfig)
+// promises that no matter what the fault injectors do to the telemetry, the
+// budget or the decision path, every actuated vector conforms to the budget
+// under the decision's predictions and the system recovers once faults
+// clear.
 // This harness runs seeded randomized fault schedules — composed
 // internal/fault injectors with random onset and duration — against invariant
 // monitors, across policies × budgets on both substrates, and reports MTTR,
@@ -97,9 +98,6 @@ type ChaosOptions struct {
 	// Budgets are budget fractions of the combo's envelope power.
 	// Default {0.60, 0.80}.
 	Budgets []float64
-	// ToleranceFrac is the supervisor's conformance tolerance (0 = its
-	// default, 0.02); the monitors check against the same value.
-	ToleranceFrac float64
 	// Deadline, when positive, arms the wall-clock watchdog and adds wedged
 	// solver-stall windows to the fault schedules. Wall-clock deadlines are
 	// nondeterministic, so the bit-identical-rerun monitor is skipped.
@@ -396,10 +394,6 @@ func (e *Env) ChaosSoak(combo workload.Combo, opts ChaosOptions) (*ChaosReport, 
 	if opts.Parallel <= 0 {
 		opts.Parallel = e.workers()
 	}
-	tol := opts.ToleranceFrac
-	if tol == 0 {
-		tol = 0.02
-	}
 	base, err := e.Baseline(combo)
 	if err != nil {
 		return nil, err
@@ -432,10 +426,7 @@ func (e *Env) ChaosSoak(combo workload.Combo, opts ChaosOptions) (*ChaosReport, 
 	}
 
 	supCfg := func() *engine.SupervisorConfig {
-		return &engine.SupervisorConfig{
-			Deadline:      opts.Deadline,
-			ToleranceFrac: opts.ToleranceFrac,
-		}
+		return &engine.SupervisorConfig{Deadline: opts.Deadline}
 	}
 	frags := make([]*ChaosReport, len(jobs))
 	err = forEach(opts.Parallel, len(jobs), func(i int) error {
@@ -494,7 +485,7 @@ func (e *Env) ChaosSoak(combo workload.Combo, opts ChaosOptions) (*ChaosReport, 
 			return fmt.Errorf("%s: %w", label, err)
 		}
 		rep := newChaosReport()
-		chaosCheck(label, deepest, tol, explore.Nanoseconds(), clear.Nanoseconds(),
+		chaosCheck(label, deepest, engine.GuardTolerance, explore.Nanoseconds(), clear.Nanoseconds(),
 			opts.RecoverK, permanent, tr, res, rep)
 		if !opts.SkipDeterminism && opts.Deadline == 0 {
 			res2, tr2, err := runOnce()

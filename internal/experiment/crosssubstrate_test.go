@@ -45,4 +45,14 @@ func TestCrossSubstrateAgreement(t *testing.T) {
 	if !res.RankAgree {
 		t.Error("substrates rank the policies differently")
 	}
+	// The §3.1 consistency claim: on each substrate, MaxBIPS degrades no
+	// more than chip-wide DVFS at a tight budget (within a half-point slack
+	// on the trace substrate and a point on the cycle-level one).
+	mb, cw := res.Rows[0], res.Rows[1]
+	if mb.TraceDeg > cw.TraceDeg+0.005 {
+		t.Errorf("trace substrate: MaxBIPS (%.3f) behind chip-wide (%.3f)", mb.TraceDeg, cw.TraceDeg)
+	}
+	if mb.FullDeg > cw.FullDeg+0.01 {
+		t.Errorf("cycle-level substrate: MaxBIPS (%.3f) behind chip-wide (%.3f)", mb.FullDeg, cw.FullDeg)
+	}
 }

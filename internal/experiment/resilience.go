@@ -15,7 +15,7 @@ import (
 // telemetry; this experiment measures how each policy degrades as that
 // assumption erodes. A scaled fault profile (sensor noise, counter noise,
 // sample dropout) is injected at increasing rates, with and without the
-// ResilientManager guard, producing degradation-vs-fault-rate curves and
+// engine's guard, producing degradation-vs-fault-rate curves and
 // budget-violation measures for MaxBIPS/Greedy/Priority.
 // ---------------------------------------------------------------------------
 
@@ -36,9 +36,6 @@ type ResilienceOptions struct {
 	// BudgetFrac is the budget as a fraction of the combo's envelope power.
 	// Default 0.80.
 	BudgetFrac float64
-	// Guard configures the ResilientManager for the guarded arm of each
-	// point; zero fields select defaults.
-	Guard core.GuardConfig
 	// Seed is the base PRNG seed; each sweep point derives its own from it
 	// so points are independent but the sweep is reproducible. Default 1.
 	Seed int64
@@ -122,8 +119,7 @@ func (e *Env) ResilienceSweep(combo workload.Combo, policies []core.Policy, rate
 			Fault:     &sc,
 		}
 		if j.guarded {
-			g := opts.Guard
-			opt.Guard = &g
+			opt.Guard = &core.GuardConfig{}
 		}
 		res, err := cmpsim.Run(e.Lib, combo, opt)
 		if err != nil {

@@ -444,14 +444,14 @@ type ManagedOptions struct {
 	Intervals int
 	// Thermal, Fault and Guard mirror cmpsim.Options: thermal governor in
 	// the clamp stage, deterministic fault injection on the observation
-	// path, and the resilient manager in place of the plain one.
+	// path, and the engine's guard around the manager.
 	Thermal *thermal.Governor
 	Fault   *fault.Scenario
 	Guard   *core.GuardConfig
 	// History mirrors cmpsim.Options.History: wrap the run's predictor in a
 	// history-table phase predictor. Incompatible with Replay.
 	History *core.HistoryConfig
-	// Supervisor mirrors cmpsim.Options.Supervisor: arms the engine's
+	// Supervisor mirrors cmpsim.Options.Supervisor: arms the guard's
 	// decision supervisor (deadline-bounded solving, degradation ladder,
 	// conformance gate). Incompatible with Replay.
 	Supervisor *engine.SupervisorConfig
@@ -481,14 +481,14 @@ func (ch *Chip) Managed(opt ManagedOptions) (*engine.Result, error) {
 	if opt.Intervals <= 0 {
 		return nil, &engine.OptionError{Component: "fullsim", Field: "Intervals", Value: opt.Intervals, Reason: "must be positive"}
 	}
-	if opt.Guard != nil {
-		if err := opt.Guard.Validate(); err != nil {
-			return nil, &engine.OptionError{Component: "fullsim", Field: "Guard", Value: "", Reason: err.Error()}
+	if opt.Supervisor != nil {
+		if replaying {
+			return nil, &engine.OptionError{Component: "fullsim", Field: "Supervisor", Value: "non-nil",
+				Reason: "incompatible with Replay: recorded vectors must actuate verbatim"}
 		}
-	}
-	if replaying && opt.Supervisor != nil {
-		return nil, &engine.OptionError{Component: "fullsim", Field: "Supervisor", Value: "non-nil",
-			Reason: "incompatible with Replay: recorded vectors must actuate verbatim"}
+		if err := opt.Supervisor.Validate("fullsim"); err != nil {
+			return nil, err
+		}
 	}
 	if opt.History != nil {
 		if replaying {
@@ -546,15 +546,8 @@ func (ch *Chip) Managed(opt ManagedOptions) (*engine.Result, error) {
 		if opt.History != nil {
 			mp = core.NewHistoryPredictor(pred, *opt.History)
 		}
-		eopt.Decider = engine.NewDecider(ch.plan, opt.Policy, mp, n, opt.Guard)
+		eopt.Decider = engine.NewDecider(ch.plan, opt.Policy, mp, n, opt.Guard, opt.Supervisor, inj)
 		eopt.PolicyName = opt.Policy.Name()
-		if opt.Supervisor != nil {
-			sup := *opt.Supervisor
-			if sup.Predictor.Plan.NumModes() == 0 {
-				sup.Predictor = pred
-			}
-			eopt.Supervisor = &sup
-		}
 	}
 	return engine.Run(newSubstrate(ch), eopt)
 }

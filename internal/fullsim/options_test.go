@@ -2,7 +2,6 @@ package fullsim
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"gpm/internal/config"
@@ -38,7 +37,6 @@ func TestManagedOptionsValidation(t *testing.T) {
 		{"nil policy", func(o *ManagedOptions) { o.Policy = nil }, "Policy"},
 		{"zero intervals", func(o *ManagedOptions) { o.Intervals = 0 }, "Intervals"},
 		{"negative intervals", func(o *ManagedOptions) { o.Intervals = -3 }, "Intervals"},
-		{"NaN guard", func(o *ManagedOptions) { o.Guard = &core.GuardConfig{EWMAAlpha: math.NaN()} }, "Guard"},
 		{"supervisor with replay", func(o *ManagedOptions) {
 			o.Supervisor = &engine.SupervisorConfig{}
 			o.Replay = &obs.Trace{Records: []obs.Record{{Vector: []int{0, 0}, BudgetW: 40}}}

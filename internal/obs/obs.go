@@ -76,7 +76,7 @@ type Manifest struct {
 	// replay parses FaultSpec to rebuild the injector.
 	BudgetSpec string `json:"budget,omitempty"`
 	FaultSpec  string `json:"fault,omitempty"`
-	// Guarded reports the run used the resilient manager.
+	// Guarded reports the run used the engine's guard.
 	Guarded bool `json:"guarded,omitempty"`
 	// Seed is the fault injector's seed (also inside FaultSpec; duplicated
 	// for grep-ability).
@@ -120,7 +120,7 @@ type Record struct {
 	// Candidate is the policy's raw pre-sanitize vector when it differs from
 	// Vector (omitted otherwise, and while the guard bypassed the policy).
 	Candidate []int `json:"candidate,omitempty"`
-	// Guard reports the resilient manager's emergency throttle made this
+	// Guard reports the guard's hard-cap emergency throttle made this
 	// decision instead of the policy.
 	Guard bool `json:"guard,omitempty"`
 	// StallNs is the synchronized transition stall charged for the switch.
@@ -168,7 +168,7 @@ type Footer struct {
 	ElapsedNs  int64   `json:"elapsed_ns"`
 	TotalInstr float64 `json:"total_instr"`
 	EnergyJ    float64 `json:"energy_j"`
-	// Guard accounting, folded from the resilient manager at run end. A
+	// Guard accounting, folded from the engine's guard at run end. A
 	// ReplayDecider reports these as its own Stats so a replayed run
 	// reproduces the original Result's robustness fields bit-identically.
 	Guarded            bool  `json:"guarded,omitempty"`

@@ -79,7 +79,7 @@ func testOptions(t testing.TB, plan modes.Plan, budgetW float64) engine.Options 
 	return engine.Options{
 		Plan:             plan,
 		Budget:           func(time.Duration) float64 { return budgetW },
-		Decider:          engine.NewDecider(plan, core.MaxBIPS{}, pred, 4, &core.GuardConfig{}),
+		Decider:          engine.NewDecider(plan, core.MaxBIPS{}, pred, 4, &core.GuardConfig{}, nil, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          3 * time.Millisecond,
@@ -419,7 +419,7 @@ func TestSolverNodeCounting(t *testing.T) {
 	opt := engine.Options{
 		Plan:             plan,
 		Budget:           func(time.Duration) float64 { return 45 },
-		Decider:          engine.NewDecider(plan, pol, pred, 4, nil),
+		Decider:          engine.NewDecider(plan, pol, pred, 4, nil, nil, nil),
 		DeltaSim:         50 * time.Microsecond,
 		DeltasPerExplore: 10,
 		Horizon:          2 * time.Millisecond,

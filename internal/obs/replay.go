@@ -79,7 +79,7 @@ func (d *ReplayDecider) Stats() core.RunStats {
 	if f == nil || !f.Guarded {
 		return core.RunStats{}
 	}
-	st := core.ResilientStats{
+	st := core.GuardStats{
 		SanitizedSamples:   f.SanitizedSamples,
 		RescaledIntervals:  f.RescaledIntervals,
 		EmergencyEntries:   f.EmergencyEntries,
