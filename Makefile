@@ -58,7 +58,8 @@ bench-json:
 		| $(GO) run ./cmd/benchjson > BENCH_obs.json
 	@echo wrote BENCH_obs.json
 	( $(GO) test -run '^$$' -bench 'BenchmarkFullsim' -benchmem ./internal/fullsim ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchmem ./internal/experiment ) \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchmem ./internal/experiment ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkCharacterize$$' -benchtime 1x -benchmem ./internal/trace ) \
 		| $(GO) run ./cmd/benchjson > BENCH_fullsim.json
 	@echo wrote BENCH_fullsim.json
 	$(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchmem ./internal/fleet \
@@ -143,6 +144,19 @@ bench-check:
 		$(GO) test -run '^$$' -bench 'BenchmarkMatricesInto/cores=1024' -benchtime 2000x -benchmem ./internal/core || exit 1; \
 	done | $(GO) run ./cmd/benchjson -check BENCH_engine.json -match 'BenchmarkMatricesInto/' -repeats 5 \
 			-ratio 'BenchmarkMatricesInto/cores=1024:matrices-ns/op<=0.25*BenchmarkMatricesInto/cores=1024:ref-ns/op'
+	# Characterization layer row: all twelve benchmarks characterized under
+	# the default plan by Characterize, one functional pass per phase
+	# driving a timing lane per mode, then by refCharacterize, the frozen
+	# per-(mode, phase) loop, every iteration at a small warm-up and sample
+	# (one iteration per process, about 0.6 s). Characterize must run in at
+	# most 0.65 of the reference, medians over five processes, and the row
+	# keeps its baseline allocations, both sides' together. Over ten rounds
+	# (2-vCPU host) the ratio read 0.38–0.51 and about 4,535 allocs/op; a
+	# revert to one front per mode read 0.87–1.00 and about 5,670.
+	for i in 1 2 3 4 5; do \
+		$(GO) test -run '^$$' -bench 'BenchmarkCharacterize$$' -benchtime 1x -benchmem ./internal/trace || exit 1; \
+	done | $(GO) run ./cmd/benchjson -check BENCH_fullsim.json -match 'BenchmarkCharacterize' -repeats 5 \
+			-ratio 'BenchmarkCharacterize:char-ns/op<=0.65*BenchmarkCharacterize:ref-ns/op'
 	# Exact solver at scale: a cold 64-core branch-and-bound decision must
 	# stay under 10 ms (and at its baseline allocations).
 	$(GO) test -run '^$$' -bench 'BenchmarkSolver$$/bb/cores=64$$' -benchtime 50x -benchmem ./internal/solver \
@@ -168,10 +182,12 @@ golden:
 # Seeded deterministic chaos soak: randomized fault schedules against the
 # decision supervisor's invariant monitors (conformance, finiteness, bounded
 # recovery, bit-identical reruns). gpmsim exits non-zero on any violation, so
-# this target is a CI gate. Short by design; `gpmsim chaos` with bigger
+# this target is a CI gate. Two runs per cell: the soak arms the guard on
+# even runs only, so each cell runs the supervisor once with the guard and
+# once without it. Short by design; `gpmsim chaos` with bigger
 # -runs/-intervals (and -fullsim) is the long-form soak.
 chaos: build
-	$(GO) run ./cmd/gpmsim -seed 7 -runs 1 -intervals 12 chaos
+	$(GO) run ./cmd/gpmsim -seed 7 -runs 2 -intervals 12 chaos
 
 # Datacenter-tier smoke: the 8-chip facility-capped serving scenario with a
 # mid-run cap cut, plus the throughput/SLO-vs-cap sweep (`gpmsim fleet`).

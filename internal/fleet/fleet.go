@@ -189,6 +189,10 @@ func (cfg Config) withDefaults(window time.Duration) (Config, error) {
 	if cfg.ClusterSize < 1 {
 		return cfg, fmt.Errorf("fleet: ClusterSize must be >= 1, got %d", cfg.ClusterSize)
 	}
+	// cfg is a copy, but its Cohorts share the caller's backing array:
+	// defaults go into a clone, so New and Run never write to their
+	// caller's config (concurrent sweep points share one).
+	cfg.Cohorts = append([]Cohort(nil), cfg.Cohorts...)
 	for i := range cfg.Cohorts {
 		co := &cfg.Cohorts[i]
 		if co.Name == "" {

@@ -261,6 +261,23 @@ func TestFleetPoliciesDiffer(t *testing.T) {
 	}
 }
 
+// TestRunLeavesConfigUnchanged pins that defaults land in Run's own copy:
+// a cohort left unnamed and without a process reads the same after Run, so
+// concurrent runs over one config (Env.FleetSweep's points) never write to
+// a shared array.
+func TestRunLeavesConfigUnchanged(t *testing.T) {
+	cfg := testConfig()
+	cfg.Horizon = 2 * time.Millisecond
+	cfg.Cohorts[1].Name, cfg.Cohorts[1].Process, cfg.Cohorts[1].Shape = "", "", 0
+	want := append([]Cohort(nil), cfg.Cohorts...)
+	if _, err := Run(testLib(t), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg.Cohorts, want) {
+		t.Errorf("Run wrote its defaults into the caller's cohorts:\n got %+v\nwant %+v", cfg.Cohorts, want)
+	}
+}
+
 func TestFleetConfigValidation(t *testing.T) {
 	lib := testLib(t)
 	bad := []func(*Config){

@@ -51,8 +51,7 @@ func TestIsolateModels(t *testing.T) {
 		r.ResetStats()
 		r.RunInstructions(8000)
 		h2, p2 := mk()
-		f := uarch.New(cfg, &synth{chained: chained, branchy: branchy}, h2, p2)
-		f.Measure(2000, 8000)
+		f := uarch.Measure(cfg, &synth{chained: chained, branchy: branchy}, h2, p2, []float64{1}, 2000, 8000)[0]
 		return 1 / r.IPC(), 1 / f.IPC()
 	}
 	for _, c := range []struct {

@@ -11,47 +11,43 @@ import (
 	"gpm/internal/workload"
 )
 
-func build(t testing.TB, cfg config.Config, bench string, phase int, f float64) (*Core, *uarch.Core) {
-	t.Helper()
-	spec := workload.MustLookup(bench)
-	mk := func() (*cache.Hierarchy, *bpred.Predictor, isa.Stream) {
-		l2 := cache.NewSharedL2(cfg.Mem.L2, cfg.Mem.L2Banks, cfg.Mem.L2BusCyclesPerAccess)
-		h := cache.NewHierarchy(cfg.Mem, l2)
-		p := bpred.New(cfg.Core.BimodalEntries, cfg.Core.GshareEntries, cfg.Core.SelectorEntries, cfg.Core.GshareHistory)
-		warm := func(base uint64, size, blk int, instr bool) {
-			for off := 0; off < size; off += blk {
-				if instr {
-					h.InstrFetch(base + uint64(off))
-				} else {
-					h.DataAccess(base + uint64(off))
-				}
+// warmed returns a hierarchy with bench's data and code regions touched
+// once, a fresh predictor and the phase's instruction stream.
+func warmed(cfg config.Config, spec workload.Spec, phase int) (*cache.Hierarchy, *bpred.Predictor, isa.Stream) {
+	l2 := cache.NewSharedL2(cfg.Mem.L2, cfg.Mem.L2Banks, cfg.Mem.L2BusCyclesPerAccess)
+	h := cache.NewHierarchy(cfg.Mem, l2)
+	p := bpred.New(cfg.Core.BimodalEntries, cfg.Core.GshareEntries, cfg.Core.SelectorEntries, cfg.Core.GshareHistory)
+	warm := func(base uint64, size, blk int, instr bool) {
+		for off := 0; off < size; off += blk {
+			if instr {
+				h.InstrFetch(base + uint64(off))
+			} else {
+				h.DataAccess(base + uint64(off))
 			}
 		}
-		warm(workload.HotBase, spec.HotSetBytes, cfg.Mem.L1D.BlockSize, false)
-		warm(workload.ColdBase, spec.ColdSetBytes, cfg.Mem.L1D.BlockSize, false)
-		warm(workload.CodeBase, spec.CodeFootprint, cfg.Mem.L1I.BlockSize, true)
-		return h, p, workload.NewGenerator(spec, phase, cfg.Sim.Seed)
 	}
-	h1, p1, s1 := mk()
-	ref := New(cfg, s1, h1, p1)
-	ref.SetFreqScale(f)
-	h2, p2, s2 := mk()
-	fast := uarch.New(cfg, s2, h2, p2)
-	fast.SetFreqScale(f)
-	return ref, fast
+	warm(workload.HotBase, spec.HotSetBytes, cfg.Mem.L1D.BlockSize, false)
+	warm(workload.ColdBase, spec.ColdSetBytes, cfg.Mem.L1D.BlockSize, false)
+	warm(workload.CodeBase, spec.CodeFootprint, cfg.Mem.L1I.BlockSize, true)
+	return h, p, workload.NewGenerator(spec, phase, cfg.Sim.Seed)
 }
 
 // measure runs both models over the same warmup and window and returns
 // their IPCs.
 func measure(t testing.TB, bench string, f float64) (refIPC, fastIPC float64) {
+	t.Helper()
 	cfg := config.Default(1)
-	ref, fast := build(t, cfg, bench, 0, f)
+	spec := workload.MustLookup(bench)
 
+	h1, p1, s1 := warmed(cfg, spec, 0)
+	ref := New(cfg, s1, h1, p1)
+	ref.SetFreqScale(f)
 	ref.RunInstructions(50_000)
 	ref.ResetStats()
 	ref.RunInstructions(50_000)
 
-	fast.Measure(50_000, 50_000)
+	h2, p2, s2 := warmed(cfg, spec, 0)
+	fast := uarch.Measure(cfg, s2, h2, p2, []float64{f}, 50_000, 50_000)[0]
 
 	return ref.IPC(), fast.IPC()
 }

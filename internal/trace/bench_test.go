@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"gpm/internal/config"
 	"gpm/internal/modes"
+	"gpm/internal/power"
+	"gpm/internal/workload"
 )
 
 // BenchmarkPlayerDelta times one 50 µs delta over N players, the step the
@@ -64,4 +67,42 @@ func BenchmarkPlayerDelta(b *testing.B) {
 			b.ReportMetric(float64(refNS)/float64(b.N), "ref-ns/op")
 		})
 	}
+}
+
+// BenchmarkCharacterize characterizes all twelve benchmarks under the
+// default plan with Characterize, and then with the frozen
+// refCharacterize, every iteration, at smallSample's warm-up and sample so
+// a row runs in well under a second. The row reports each side's mean as
+// char-ns/op and ref-ns/op; `make bench-check` gates their ratio, which
+// reads about 1 when every mode runs its own front again, and the row's
+// allocs/op, both sides' together.
+func BenchmarkCharacterize(b *testing.B) {
+	cfg := smallSample(config.Default(4))
+	plan := modes.Default(cfg.Chip.NominalVdd, cfg.Chip.TransitionRateVPerUs)
+	model := power.Default()
+	var specs []workload.Spec
+	for _, name := range workload.Names() {
+		specs = append(specs, workload.MustLookup(name))
+	}
+	var charNS, refNS time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		for _, spec := range specs {
+			if _, err := Characterize(cfg, model, plan, spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		t1 := time.Now()
+		for _, spec := range specs {
+			if _, err := refCharacterize(cfg, model, plan, spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		charNS += t1.Sub(t0)
+		refNS += time.Since(t1)
+	}
+	b.ReportMetric(float64(charNS)/float64(b.N), "char-ns/op")
+	b.ReportMetric(float64(refNS)/float64(b.N), "ref-ns/op")
 }

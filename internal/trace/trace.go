@@ -1,5 +1,5 @@
 // Package trace implements the paper's trace-based methodology (§3.1): the
-// core simulator characterizes each benchmark once per power mode
+// core simulator characterizes each benchmark under every power mode
 // ("single threaded Turandot results for each evaluated power mode"), and
 // lightweight Players replay those characterizations inside the CMP
 // simulation, tracking each core's program position so that mode switches
@@ -66,9 +66,12 @@ type Profile struct {
 	Seed int64
 }
 
-// Characterize runs the core simulator for every (phase, mode) pair of spec
-// and assembles a Profile. Each sample uses a fresh core, private caches and
-// predictor — the single-threaded characterization step of §3.1.
+// Characterize runs the core simulator over every phase of spec under every
+// mode of plan and assembles a Profile: the single-threaded
+// characterization step of §3.1. Each phase runs once, over a fresh
+// generator, private caches and predictor, with one timing lane per mode in
+// lockstep (uarch.Measure): a mode changes only timing here, never the
+// stream, a cache outcome or a prediction (DESIGN.md §10.4).
 func Characterize(cfg config.Config, model power.Model, plan modes.Plan, spec workload.Spec) (*Profile, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -82,29 +85,30 @@ func Characterize(cfg config.Config, model power.Model, plan modes.Plan, spec wo
 		Seed: cfg.Sim.Seed,
 	}
 	nm := plan.NumModes()
+	scales := make([]float64, nm)
 	pr.Behavior = make([][]PhaseBehavior, nm)
-	for m := 0; m < nm; m++ {
+	for m := range pr.Behavior {
+		scales[m] = plan.FreqScale(modes.Mode(m))
 		pr.Behavior[m] = make([]PhaseBehavior, len(spec.Phases))
-		for ph := range spec.Phases {
-			gen := workload.NewGenerator(spec, ph, cfg.Sim.Seed)
-			l2 := cache.NewSharedL2(cfg.Mem.L2, cfg.Mem.L2Banks, cfg.Mem.L2BusCyclesPerAccess)
-			hier := cache.NewHierarchy(cfg.Mem, l2)
-			pred := bpred.New(cfg.Core.BimodalEntries, cfg.Core.GshareEntries, cfg.Core.SelectorEntries, cfg.Core.GshareHistory)
-			core := uarch.New(cfg, gen, hier, pred)
-			f := plan.FreqScale(modes.Mode(m))
-			core.SetFreqScale(f)
-			// Establish steady-state cache residency before sampling: touch
-			// the benchmark's data regions once, as a real run would have
-			// long before the sampled window. Regions larger than the
-			// hierarchy stay miss-dominated regardless.
-			warmRegion(hier, workload.HotBase, spec.HotSetBytes, cfg.Mem.L1D.BlockSize)
-			warmRegion(hier, workload.ColdBase, spec.ColdSetBytes, cfg.Mem.L1D.BlockSize)
-			warmCode(hier, workload.CodeBase, spec.CodeFootprint, cfg.Mem.L1I.BlockSize)
-			act := core.Measure(uint64(cfg.Sim.WarmupInstructions), uint64(cfg.Sim.SampleInstructions))
+	}
+	for ph := range spec.Phases {
+		gen := workload.NewGenerator(spec, ph, cfg.Sim.Seed)
+		l2 := cache.NewSharedL2(cfg.Mem.L2, cfg.Mem.L2Banks, cfg.Mem.L2BusCyclesPerAccess)
+		hier := cache.NewHierarchy(cfg.Mem, l2)
+		pred := bpred.New(cfg.Core.BimodalEntries, cfg.Core.GshareEntries, cfg.Core.SelectorEntries, cfg.Core.GshareHistory)
+		// Establish steady-state cache residency before sampling: touch the
+		// benchmark's data regions once, as a real run would have long
+		// before the sampled window. Regions larger than the hierarchy stay
+		// miss-dominated regardless.
+		warmRegion(hier, workload.HotBase, spec.HotSetBytes, cfg.Mem.L1D.BlockSize)
+		warmRegion(hier, workload.ColdBase, spec.ColdSetBytes, cfg.Mem.L1D.BlockSize)
+		warmCode(hier, workload.CodeBase, spec.CodeFootprint, cfg.Mem.L1I.BlockSize)
+		acts := uarch.Measure(cfg, gen, hier, pred, scales, uint64(cfg.Sim.WarmupInstructions), uint64(cfg.Sim.SampleInstructions))
+		for m, act := range acts {
 			b := PhaseBehavior{
 				PowerW:     model.CorePower(act, plan, modes.Mode(m)),
 				IPC:        act.IPC(),
-				RatePerSec: act.IPC() * f * cfg.Chip.NominalFreqHz,
+				RatePerSec: act.IPC() * scales[m] * cfg.Chip.NominalFreqHz,
 				Activity:   act,
 			}
 			if b.RatePerSec <= 0 {

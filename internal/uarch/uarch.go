@@ -16,6 +16,11 @@
 // DVFS enters through SetFreqScale: latencies of the asynchronous domains
 // (shared L2, memory) are rescaled in core cycles, which is what makes
 // memory-bound workloads nearly frequency-insensitive (Fig 2's mcf corner).
+//
+// A core is a functional front (the stream, fetch groups, the predictor
+// and, for an untimed hierarchy, the cache lookups) driving a timing lane.
+// With the hierarchy untimed no frequency scale changes what the front
+// computes, so Measure drives one lane per scale from a single front.
 package uarch
 
 import (
@@ -41,11 +46,11 @@ type ring struct {
 	pos int
 }
 
-func newRing(k int) *ring {
+func newRing(k int) ring {
 	if k < 1 {
 		k = 1
 	}
-	return &ring{buf: make([]uint64, k)}
+	return ring{buf: make([]uint64, k)}
 }
 
 // freeAt returns the cycle at which a new slot is available, given the
@@ -67,7 +72,7 @@ type fuBank struct {
 	nextFree []uint64
 }
 
-func newFUBank(n int) *fuBank { return &fuBank{nextFree: make([]uint64, n)} }
+func newFUBank(n int) fuBank { return fuBank{nextFree: make([]uint64, n)} }
 
 // issue reserves the earliest-available instance at or after cycle c and
 // returns the actual issue cycle.
@@ -118,15 +123,114 @@ type Counters struct {
 	MSHRWait uint64
 }
 
-// Core is one simulated core.
+// Core is one simulated core: a functional front driving one timing lane.
 type Core struct {
-	cfg  config.Config
+	front
+	lane
+}
+
+// New builds a core over the given stream, hierarchy and predictor, running
+// at Turbo frequency until SetFreqScale is called.
+func New(cfg config.Config, str isa.Stream, hier *cache.Hierarchy, pred *bpred.Predictor) *Core {
+	return &Core{front: newFront(cfg, str, hier, pred), lane: newLane(cfg, 1.0)}
+}
+
+func maxInt(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// op is the front's outcome for one instruction: everything about it that
+// no cycle count can change.
+type op struct {
+	in isa.Instruction
+	// start marks the first instruction of a fetch group, and newBlock a
+	// group that begins in a block other than the previous group's.
+	start, newBlock bool
+	// mispredict is the predictor's verdict on a branch.
+	mispredict bool
+	// fetch and data are the levels a group's fetch and a load's or store's
+	// access resolved at, when the front looked them up (untimed hierarchy);
+	// a lane with GlobalCycle set looks them up itself.
+	fetch, data cache.Level
+}
+
+// front is the functional half of a core: the instruction stream,
+// fetch-group and fetch-block tracking, the branch predictor and, for an
+// untimed hierarchy, the cache lookups. None of it reads a cycle count, so
+// one front can drive any number of lanes (DESIGN.md §10.4).
+type front struct {
 	str  isa.Stream
 	pred *bpred.Predictor
 	hier *cache.Hierarchy
 
+	fetchWidth int
+	blockMask  uint64
+
+	groupLeft      int // fetch slots left in the current group
+	lastFetchBlock uint64
+}
+
+func newFront(cfg config.Config, str isa.Stream, hier *cache.Hierarchy, pred *bpred.Predictor) front {
+	return front{
+		str:        str,
+		pred:       pred,
+		hier:       hier,
+		fetchWidth: cfg.Core.FetchWidth,
+		blockMask:  uint64(cfg.Mem.L1I.BlockSize - 1),
+	}
+}
+
+// next fills o with the next instruction's outcome, looking up the caches
+// when lookup is set, and returns false if the stream is exhausted. The
+// group's fetch is looked up before the instruction's data, as the timed
+// lane does.
+func (f *front) next(o *op, lookup bool) bool {
+	in, ok := f.str.Next()
+	if !ok {
+		return false
+	}
+	o.in = in
+	o.start, o.newBlock = f.groupLeft == 0, false
+	o.fetch = cache.LevelL1
+	if o.start {
+		f.groupLeft = f.fetchWidth
+		if blk := in.PC &^ f.blockMask; blk != f.lastFetchBlock {
+			f.lastFetchBlock = blk
+			o.newBlock = true
+			if lookup {
+				o.fetch = f.hier.InstrFetch(in.PC)
+			}
+		}
+	}
+	f.groupLeft--
+	o.mispredict = false
+	switch in.Op {
+	case isa.OpLoad, isa.OpStore:
+		if lookup {
+			o.data = f.hier.DataAccessRW(in.Addr, in.Op == isa.OpStore)
+		}
+	case isa.OpBranch:
+		// A mispredicted or taken branch ends its fetch group.
+		o.mispredict = f.pred.Update(in.PC, in.Taken)
+		if o.mispredict || in.Taken {
+			f.groupLeft = 0
+		}
+	}
+	return true
+}
+
+// lane is the timing half of a core: the cycle at which each instruction of
+// the front's stream is fetched, dispatched, issued, completed and retired
+// at one frequency scale, with its own structural resources and counters.
+type lane struct {
+	cfg config.Config
+
 	// GlobalCycle, when non-nil, converts a local core cycle into the global
-	// time base used for shared-L2 contention (full-CMP simulation).
+	// time base used for shared-L2 contention (full-CMP simulation); the
+	// lane then looks up the caches itself, at the cycles it computes.
 	GlobalCycle func(local uint64) uint64
 
 	freqScale float64
@@ -134,45 +238,38 @@ type Core struct {
 	memLat    uint64
 
 	// pipeline frontier state
-	nextFetch      uint64 // earliest cycle the next fetch group may start
-	groupLeft      int    // fetch slots left in the current group
-	groupLevel     cache.Level
-	lastFetchBlock uint64
+	nextFetch  uint64 // earliest cycle the next fetch group may start
+	fetchFloor uint64 // one past the last fetch: a new group starts no earlier
 
 	regReady [isa.NumArchRegs]uint64
 
-	rob     *ring // reorder-buffer slots, released at retire
-	iq      *ring // issue-queue slots, released at issue
-	memRS   *ring
-	fixRS   *ring
-	fpRS    *ring
-	gprFree *ring // physical integer registers, released at retire
-	fprFree *ring
+	rob     ring // reorder-buffer slots, released at retire
+	iq      ring // issue-queue slots, released at issue
+	memRS   ring
+	fixRS   ring
+	fpRS    ring
+	gprFree ring // physical integer registers, released at retire
+	fprFree ring
 
-	lsu *fuBank
-	fxu *fuBank
-	fpu *fuBank
-	bru *fuBank
+	lsu fuBank
+	fxu fuBank
+	fpu fuBank
+	bru fuBank
 
 	// mshr bounds outstanding L1D misses: a new miss may not start until a
 	// miss-status register frees.
-	mshr *ring
+	mshr ring
 
-	retire     *ring // retire-width gating
+	retire     ring // retire-width gating
 	lastRetire uint64
 	frontier   uint64 // retire cycle of the most recent instruction
 
 	ctr Counters
 }
 
-// New builds a core over the given stream, hierarchy and predictor, running
-// at Turbo frequency until SetFreqScale is called.
-func New(cfg config.Config, str isa.Stream, hier *cache.Hierarchy, pred *bpred.Predictor) *Core {
-	c := &Core{
-		cfg:  cfg,
-		str:  str,
-		pred: pred,
-		hier: hier,
+func newLane(cfg config.Config, f float64) lane {
+	l := lane{
+		cfg: cfg,
 
 		rob:     newRing(cfg.Core.ReorderBuffer),
 		iq:      newRing(cfg.Core.InstructionQueue),
@@ -190,130 +287,118 @@ func New(cfg config.Config, str isa.Stream, hier *cache.Hierarchy, pred *bpred.P
 
 		retire: newRing(cfg.Core.RetireWidth),
 	}
-	c.SetFreqScale(1.0)
-	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	l.SetFreqScale(f)
+	return l
 }
 
 // SetFreqScale changes the core clock to scale f of nominal and rescales the
 // asynchronous-domain latencies (L2, memory) in core cycles.
-func (c *Core) SetFreqScale(f float64) {
+func (l *lane) SetFreqScale(f float64) {
 	if f <= 0 || f > 1 {
 		panic("uarch: frequency scale must be in (0,1]")
 	}
-	c.freqScale = f
-	c.l2Lat = uint64(math.Max(1, math.Round(float64(c.cfg.Mem.L2.LatencyCycles)*f)))
-	c.memLat = uint64(math.Max(1, math.Round(float64(c.cfg.Mem.MemoryLatencyCycles)*f)))
+	l.freqScale = f
+	l.l2Lat = uint64(math.Max(1, math.Round(float64(l.cfg.Mem.L2.LatencyCycles)*f)))
+	l.memLat = uint64(math.Max(1, math.Round(float64(l.cfg.Mem.MemoryLatencyCycles)*f)))
 }
 
 // FreqScale returns the current frequency scale.
-func (c *Core) FreqScale() float64 { return c.freqScale }
+func (l *lane) FreqScale() float64 { return l.freqScale }
 
 // Frontier returns the local cycle through which execution has been
 // simulated (the retire cycle of the most recent instruction).
-func (c *Core) Frontier() uint64 { return c.frontier }
+func (l *lane) Frontier() uint64 { return l.frontier }
 
 // Counters returns a copy of the accumulated counters.
-func (c *Core) Counters() Counters { return c.ctr }
+func (l *lane) Counters() Counters { return l.ctr }
 
 // ResetCounters zeroes the measurement counters (after warmup). Pipeline and
 // cache/predictor state is preserved.
-func (c *Core) ResetCounters() { c.ctr = Counters{} }
+func (l *lane) ResetCounters() { l.ctr = Counters{} }
 
 // SetCounterCycles fixes the counters' window length (local cycles), used by
 // callers that measure windows in an external time base.
-func (c *Core) SetCounterCycles(cycles uint64) { c.ctr.Cycles = cycles }
+func (l *lane) SetCounterCycles(cycles uint64) { l.ctr.Cycles = cycles }
 
 // dataLatency returns the load-to-use latency for a data access resolved at
 // level lv, plus any contention wait already expressed in cycles.
-func (c *Core) dataLatency(lv cache.Level) uint64 {
+func (l *lane) dataLatency(lv cache.Level) uint64 {
 	switch lv {
 	case cache.LevelL1:
-		return uint64(c.cfg.Mem.L1D.LatencyCycles)
+		return uint64(l.cfg.Mem.L1D.LatencyCycles)
 	case cache.LevelL2:
-		return uint64(c.cfg.Mem.L1D.LatencyCycles) + c.l2Lat
+		return uint64(l.cfg.Mem.L1D.LatencyCycles) + l.l2Lat
 	default:
-		return uint64(c.cfg.Mem.L1D.LatencyCycles) + c.l2Lat + c.memLat
+		return uint64(l.cfg.Mem.L1D.LatencyCycles) + l.l2Lat + l.memLat
 	}
 }
 
-func (c *Core) fetchPenalty(lv cache.Level) uint64 {
+func (l *lane) fetchPenalty(lv cache.Level) uint64 {
 	switch lv {
 	case cache.LevelL1:
 		return 0
 	case cache.LevelL2:
-		return c.l2Lat
+		return l.l2Lat
 	default:
-		return c.l2Lat + c.memLat
+		return l.l2Lat + l.memLat
 	}
 }
 
-// step processes one dynamic instruction through the timing model. It
-// returns false if the stream is exhausted.
-func (c *Core) step() bool {
-	in, ok := c.str.Next()
-	if !ok {
-		return false
-	}
+// exec times one instruction of the front's stream: the core's only timing
+// body, run by a Core's one lane and by each of Measure's. hier serves the
+// lookups of a lane with GlobalCycle set.
+func (l *lane) exec(o *op, hier *cache.Hierarchy) {
+	in := o.in
 
-	// --- Fetch ---
-	if c.groupLeft == 0 {
-		c.groupLeft = c.cfg.Core.FetchWidth
-		blk := in.PC &^ uint64(c.cfg.Mem.L1I.BlockSize-1)
-		lv := cache.LevelL1
-		if blk != c.lastFetchBlock {
-			if c.GlobalCycle != nil {
-				// Timestamped fetch so window-deferred L2 fills merge in
-				// canonical time order (full-CMP simulation).
-				lv = c.hier.InstrFetchAt(in.PC, c.GlobalCycle(c.nextFetch))
-			} else {
-				lv = c.hier.InstrFetch(in.PC)
-			}
-			c.lastFetchBlock = blk
-			if lv != cache.LevelL1 {
-				c.ctr.L1IMisses++
-				c.ctr.L2Accesses++
-				if lv == cache.LevelMemory {
-					c.ctr.L2Misses++
-				}
+	// --- Fetch: a group starts no earlier than a cycle after the last
+	// group's final fetch, or a mispredicted branch's redirect ---
+	if o.start {
+		if l.nextFetch < l.fetchFloor {
+			l.nextFetch = l.fetchFloor
+		}
+		lv := o.fetch
+		if o.newBlock && l.GlobalCycle != nil {
+			// Timestamped fetch so window-deferred L2 fills merge in
+			// canonical time order (full-CMP simulation).
+			lv = hier.InstrFetchAt(in.PC, l.GlobalCycle(l.nextFetch))
+		}
+		if lv != cache.LevelL1 {
+			l.ctr.L1IMisses++
+			l.ctr.L2Accesses++
+			if lv == cache.LevelMemory {
+				l.ctr.L2Misses++
 			}
 		}
-		c.nextFetch += c.fetchPenalty(lv)
+		l.nextFetch += l.fetchPenalty(lv)
 	}
-	fetchCycle := c.nextFetch
-	c.groupLeft--
-	c.ctr.Fetched++
+	fetchCycle := l.nextFetch
+	l.fetchFloor = fetchCycle + 1
+	l.ctr.Fetched++
 
 	// --- Dispatch: ROB, IQ, RS and physical-register gating ---
 	dispatch := fetchCycle + frontEndDepth
-	if fa := c.rob.freeAt(); fa > dispatch {
+	if fa := l.rob.freeAt(); fa > dispatch {
 		dispatch = fa
 	}
-	if fa := c.iq.freeAt(); fa > dispatch {
+	if fa := l.iq.freeAt(); fa > dispatch {
 		dispatch = fa
 	}
 	var rs *ring
 	switch in.Op {
 	case isa.OpLoad, isa.OpStore:
-		rs = c.memRS
+		rs = &l.memRS
 	case isa.OpFP:
-		rs = c.fpRS
+		rs = &l.fpRS
 	default:
-		rs = c.fixRS
+		rs = &l.fixRS
 	}
 	if fa := rs.freeAt(); fa > dispatch {
 		dispatch = fa
 	}
 	if in.HasDest() {
-		reg := c.gprFree
+		reg := &l.gprFree
 		if in.Dest.IsFP() {
-			reg = c.fprFree
+			reg = &l.fprFree
 		}
 		if fa := reg.freeAt(); fa > dispatch {
 			dispatch = fa
@@ -326,8 +411,8 @@ func (c *Core) step() bool {
 		if s == isa.NoReg {
 			continue
 		}
-		c.ctr.RegReads++
-		if r := c.regReady[s]; r > srcReady {
+		l.ctr.RegReads++
+		if r := l.regReady[s]; r > srcReady {
 			srcReady = r
 		}
 	}
@@ -340,111 +425,102 @@ func (c *Core) step() bool {
 	var issue, done uint64
 	switch in.Op {
 	case isa.OpFX:
-		issue = c.fxu.issue(earliest)
-		done = issue + uint64(c.cfg.Core.FXULatency)
-		c.ctr.FXOps++
+		issue = l.fxu.issue(earliest)
+		done = issue + uint64(l.cfg.Core.FXULatency)
+		l.ctr.FXOps++
 	case isa.OpFP:
-		issue = c.fpu.issue(earliest)
-		done = issue + uint64(c.cfg.Core.FPULatency)
-		c.ctr.FPOps++
+		issue = l.fpu.issue(earliest)
+		done = issue + uint64(l.cfg.Core.FPULatency)
+		l.ctr.FPOps++
 	case isa.OpLoad, isa.OpStore:
-		issue = c.lsu.issue(earliest)
-		write := in.Op == isa.OpStore
-		var lv cache.Level
+		issue = l.lsu.issue(earliest)
+		lv := o.data
 		var wait uint64
-		if c.GlobalCycle != nil {
-			// Pre-check L1 to avoid charging contention for L1 hits.
-			lv, wait = c.hier.DataAccessAtRW(in.Addr, c.GlobalCycle(issue), write)
+		if l.GlobalCycle != nil {
+			lv, wait = hier.DataAccessAtRW(in.Addr, l.GlobalCycle(issue), in.Op == isa.OpStore)
 			// Contention wait is in global cycles; convert back to local.
-			wait = uint64(math.Round(float64(wait) * c.freqScale))
-			c.ctr.L2WaitCycles += wait
-		} else {
-			lv = c.hier.DataAccessRW(in.Addr, write)
+			wait = uint64(math.Round(float64(wait) * l.freqScale))
+			l.ctr.L2WaitCycles += wait
 		}
-		missDone := issue + c.dataLatency(lv) + wait
+		missDone := issue + l.dataLatency(lv) + wait
 		if lv != cache.LevelL1 {
-			c.ctr.L1DMisses++
-			c.ctr.L2Accesses++
+			l.ctr.L1DMisses++
+			l.ctr.L2Accesses++
 			if lv == cache.LevelMemory {
-				c.ctr.L2Misses++
+				l.ctr.L2Misses++
 			}
 			// MSHR gating: the miss cannot start until a miss-status
 			// register frees, bounding memory-level parallelism.
-			if fa := c.mshr.freeAt(); fa > issue {
-				c.ctr.MSHRWait += fa - issue
+			if fa := l.mshr.freeAt(); fa > issue {
+				l.ctr.MSHRWait += fa - issue
 				missDone += fa - issue
 			}
-			c.mshr.push(missDone)
+			l.mshr.push(missDone)
 		}
 		if in.Op == isa.OpLoad {
 			done = missDone
-			c.ctr.Loads++
+			l.ctr.Loads++
 		} else {
 			// Stores complete at issue from the dependence perspective; the
 			// write drains in the background (the MSHR still tracks the
 			// line fill on a store miss).
 			done = issue + 1
-			c.ctr.Stores++
+			l.ctr.Stores++
 		}
 	case isa.OpBranch:
-		issue = c.bru.issue(earliest)
-		done = issue + uint64(c.cfg.Core.BRULatency)
-		c.ctr.Branches++
-	}
-	c.ctr.IQWaitSum += issue - dispatch
-
-	// --- Branch resolution & redirect ---
-	if in.Op == isa.OpBranch {
-		mis := c.pred.Update(in.PC, in.Taken)
-		if mis {
-			c.ctr.Mispredicts++
-			redirect := done + uint64(c.cfg.Core.MispredictPenalty)
-			if redirect > c.nextFetch {
-				c.nextFetch = redirect
+		issue = l.bru.issue(earliest)
+		done = issue + uint64(l.cfg.Core.BRULatency)
+		l.ctr.Branches++
+		// A misprediction redirects fetch once the branch resolves.
+		if o.mispredict {
+			l.ctr.Mispredicts++
+			if redirect := done + uint64(l.cfg.Core.MispredictPenalty); redirect > l.nextFetch {
+				l.nextFetch = redirect
 			}
-			c.groupLeft = 0
-		} else if in.Taken {
-			// Correctly predicted taken branch: one redirect bubble.
-			if fetchCycle+1 > c.nextFetch {
-				c.nextFetch = fetchCycle + 1
-			}
-			c.groupLeft = 0
 		}
 	}
-	if c.groupLeft == 0 && c.nextFetch <= fetchCycle {
-		c.nextFetch = fetchCycle + 1
-	}
+	l.ctr.IQWaitSum += issue - dispatch
 
 	// --- Writeback ---
 	if in.HasDest() {
-		c.regReady[in.Dest] = done
-		c.ctr.RegWrites++
+		l.regReady[in.Dest] = done
+		l.ctr.RegWrites++
 	}
 
 	// --- In-order retire ---
 	retire := done + 1
-	if r := c.lastRetire; r > retire {
+	if r := l.lastRetire; r > retire {
 		retire = r
 	}
-	if r := c.retire.freeAt() + 1; r > retire {
+	if r := l.retire.freeAt() + 1; r > retire {
 		retire = r
 	}
-	c.retire.push(retire)
-	c.lastRetire = retire
-	c.frontier = retire
-	c.ctr.Committed++
+	l.retire.push(retire)
+	l.lastRetire = retire
+	l.frontier = retire
+	l.ctr.Committed++
 
 	// --- Release structural resources ---
-	c.rob.push(retire)
-	c.iq.push(issue)
+	l.rob.push(retire)
+	l.iq.push(issue)
 	rs.push(issue + 1)
 	if in.HasDest() {
 		if in.Dest.IsFP() {
-			c.fprFree.push(retire)
+			l.fprFree.push(retire)
 		} else {
-			c.gprFree.push(retire)
+			l.gprFree.push(retire)
 		}
 	}
+}
+
+// step processes one dynamic instruction through the front and the core's
+// lane. It returns false if the stream is exhausted.
+func (c *Core) step() bool {
+	var o op
+	if !c.front.next(&o, c.GlobalCycle == nil) {
+		return false
+	}
+	c.lane.exec(&o, c.hier)
 	return true
 }
 
@@ -471,25 +547,50 @@ func (c *Core) RunInstructions(n uint64) bool {
 	return true
 }
 
-// Measure executes `warmup` instructions, then measures a window of `n`
-// instructions and returns the per-unit activity for it. Instruction-based
-// windows keep the measured program region identical across DVFS modes.
-func (c *Core) Measure(warmup, n uint64) power.Activity {
-	c.RunInstructions(warmup)
-	start := c.frontier
-	c.ResetCounters()
-	c.RunInstructions(n)
-	elapsed := c.frontier - start
-	if elapsed == 0 {
-		elapsed = 1
+// Measure runs one front over str, an untimed hier and pred, and one lane
+// per frequency scale in lockstep: `warmup` instructions, then a window of
+// n, and returns each lane's activity over the window, in the order of
+// scales. Instruction-based windows keep the measured program region
+// identical across DVFS modes; since a mode changes only the timing, the
+// lanes share the stream, cache and predictor work (DESIGN.md §10.4), and
+// each lane reads exactly what a core of its own over a fresh copy of the
+// same stream, hierarchy and predictor would.
+func Measure(cfg config.Config, str isa.Stream, hier *cache.Hierarchy, pred *bpred.Predictor, scales []float64, warmup, n uint64) []power.Activity {
+	f := newFront(cfg, str, hier, pred)
+	lanes := make([]lane, len(scales))
+	for i, s := range scales {
+		lanes[i] = newLane(cfg, s)
 	}
-	c.ctr.Cycles = elapsed
-	return c.Activity()
+	run := func(k uint64) {
+		var o op
+		for i := uint64(0); i < k && f.next(&o, true); i++ {
+			for j := range lanes {
+				lanes[j].exec(&o, hier)
+			}
+		}
+	}
+	run(warmup)
+	starts := make([]uint64, len(lanes))
+	for j := range lanes {
+		lanes[j].ResetCounters()
+		starts[j] = lanes[j].frontier
+	}
+	run(n)
+	acts := make([]power.Activity, len(lanes))
+	for j := range lanes {
+		elapsed := lanes[j].frontier - starts[j]
+		if elapsed == 0 {
+			elapsed = 1
+		}
+		lanes[j].ctr.Cycles = elapsed
+		acts[j] = lanes[j].Activity()
+	}
+	return acts
 }
 
 // Activity converts the current counters into power-model activity factors.
-func (c *Core) Activity() power.Activity {
-	ct := c.ctr
+func (l *lane) Activity() power.Activity {
+	ct := l.ctr
 	cy := float64(ct.Cycles)
 	if cy == 0 {
 		cy = 1
@@ -502,14 +603,14 @@ func (c *Core) Activity() power.Activity {
 		return u
 	}
 	return power.Activity{
-		Fetch:   util(ct.Fetched, float64(c.cfg.Core.FetchWidth)),
-		Decode:  util(ct.Fetched, float64(c.cfg.Core.DispatchWidth)),
-		Issue:   util(ct.IQWaitSum, float64(c.cfg.Core.InstructionQueue)),
-		FXU:     util(ct.FXOps, float64(c.cfg.Core.NumFXU)),
-		FPU:     util(ct.FPOps, float64(c.cfg.Core.NumFPU)),
-		LSU:     util(ct.Loads+ct.Stores, float64(c.cfg.Core.NumLSU)),
-		BRU:     util(ct.Branches, float64(c.cfg.Core.NumBRU)),
-		RegFile: util(ct.RegReads+ct.RegWrites, float64(c.cfg.Core.DispatchWidth)*3),
+		Fetch:   util(ct.Fetched, float64(l.cfg.Core.FetchWidth)),
+		Decode:  util(ct.Fetched, float64(l.cfg.Core.DispatchWidth)),
+		Issue:   util(ct.IQWaitSum, float64(l.cfg.Core.InstructionQueue)),
+		FXU:     util(ct.FXOps, float64(l.cfg.Core.NumFXU)),
+		FPU:     util(ct.FPOps, float64(l.cfg.Core.NumFPU)),
+		LSU:     util(ct.Loads+ct.Stores, float64(l.cfg.Core.NumLSU)),
+		BRU:     util(ct.Branches, float64(l.cfg.Core.NumBRU)),
+		RegFile: util(ct.RegReads+ct.RegWrites, float64(l.cfg.Core.DispatchWidth)*3),
 		// 0.2 accesses/cycle saturates a core's share of L2 bandwidth.
 		L2:        util(ct.L2Accesses, 0.2),
 		Committed: ct.Committed,
@@ -518,9 +619,9 @@ func (c *Core) Activity() power.Activity {
 }
 
 // IPC returns committed instructions per cycle over the counter window.
-func (c *Core) IPC() float64 {
-	if c.ctr.Cycles == 0 {
+func (l *lane) IPC() float64 {
+	if l.ctr.Cycles == 0 {
 		return 0
 	}
-	return float64(c.ctr.Committed) / float64(c.ctr.Cycles)
+	return float64(l.ctr.Committed) / float64(l.ctr.Cycles)
 }

@@ -7,6 +7,7 @@ import (
 	"gpm/internal/cache"
 	"gpm/internal/config"
 	"gpm/internal/isa"
+	"gpm/internal/power"
 	"gpm/internal/workload"
 )
 
@@ -39,6 +40,14 @@ func newCoreFrom(t testing.TB, cfg config.Config, str isa.Stream) *Core {
 	hier := cache.NewHierarchy(cfg.Mem, l2)
 	pred := bpred.New(cfg.Core.BimodalEntries, cfg.Core.GshareEntries, cfg.Core.SelectorEntries, cfg.Core.GshareHistory)
 	return New(cfg, str, hier, pred)
+}
+
+// measure runs Measure over str with fresh private caches and predictor.
+func measure(cfg config.Config, str isa.Stream, scales ...float64) []power.Activity {
+	l2 := cache.NewSharedL2(cfg.Mem.L2, cfg.Mem.L2Banks, cfg.Mem.L2BusCyclesPerAccess)
+	hier := cache.NewHierarchy(cfg.Mem, l2)
+	pred := bpred.New(cfg.Core.BimodalEntries, cfg.Core.GshareEntries, cfg.Core.SelectorEntries, cfg.Core.GshareHistory)
+	return Measure(cfg, str, hier, pred, scales, 5000, 30000)
 }
 
 // independent builds n independent FX instructions (invariant sources only).
@@ -102,10 +111,7 @@ func TestMemoryLatencySensitivityToFrequency(t *testing.T) {
 		return workload.NewGenerator(spec, 0, 1)
 	}
 	run := func(f float64) (cycles uint64) {
-		c := newCore(t, mk())
-		c.SetFreqScale(f)
-		c.Measure(5000, 30000)
-		return c.Counters().Cycles
+		return measure(config.Default(1), mk(), f)[0].Cycles
 	}
 	turbo := run(1.0)
 	eff2 := run(0.85)
@@ -121,11 +127,7 @@ func TestMemoryLatencySensitivityToFrequency(t *testing.T) {
 func TestCPUBoundInsensitiveToFrequency(t *testing.T) {
 	run := func(f float64) (cycles uint64) {
 		spec := workload.MustLookup("sixtrack")
-		g := workload.NewGenerator(spec, 0, 1)
-		c := newCore(t, g)
-		c.SetFreqScale(f)
-		c.Measure(5000, 30000)
-		return c.Counters().Cycles
+		return measure(config.Default(1), workload.NewGenerator(spec, 0, 1), f)[0].Cycles
 	}
 	turbo := run(1.0)
 	eff2 := run(0.85)
@@ -189,8 +191,7 @@ func TestROBLimitsInFlight(t *testing.T) {
 
 func TestActivityFactorsInRange(t *testing.T) {
 	spec := workload.MustLookup("gcc")
-	c := newCore(t, workload.NewGenerator(spec, 0, 2))
-	act := c.Measure(5000, 30000)
+	act := measure(config.Default(1), workload.NewGenerator(spec, 0, 2), 1)[0]
 	for name, v := range map[string]float64{
 		"fetch": act.Fetch, "decode": act.Decode, "issue": act.Issue,
 		"fxu": act.FXU, "fpu": act.FPU, "lsu": act.LSU, "bru": act.BRU,
@@ -239,11 +240,55 @@ func TestDeterminism(t *testing.T) {
 	run := func() Counters {
 		spec := workload.MustLookup("crafty")
 		c := newCore(t, workload.NewGenerator(spec, 0, 7))
-		c.Measure(5000, 30000)
+		c.RunInstructions(35000)
 		return c.Counters()
 	}
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("two identical runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestMeasureLanesMatchCores pins the lockstep: each of Measure's lanes
+// reads what a Core of its own at that scale reads over a fresh copy of the
+// stream, caches and predictor, the frequency-sensitive mcf and the
+// branch-heavy gcc alike.
+func TestMeasureLanesMatchCores(t *testing.T) {
+	cfg := config.Default(1)
+	scales := []float64{1, 0.95, 0.85, 0.6}
+	for _, name := range []string{"mcf", "gcc"} {
+		spec := workload.MustLookup(name)
+		acts := measure(cfg, workload.NewGenerator(spec, 1, 3), scales...)
+		for j, f := range scales {
+			c := newCoreFrom(t, cfg, workload.NewGenerator(spec, 1, 3))
+			c.SetFreqScale(f)
+			c.RunInstructions(5000)
+			start := c.Frontier()
+			c.ResetCounters()
+			c.RunInstructions(30000)
+			c.SetCounterCycles(c.Frontier() - start)
+			if want := c.Activity(); acts[j] != want {
+				t.Errorf("%s at scale %v: lane %+v, core %+v", name, f, acts[j], want)
+			}
+		}
+	}
+}
+
+// TestFetchLookedUpBeforeData pins the order of one instruction's two
+// lookups, which sets the LRU order of a set both touch: the group's fetch
+// first, then the instruction's data, as in the timed lane. On a one-set,
+// two-way L2 a third line then evicts the fetched block and keeps the data.
+func TestFetchLookedUpBeforeData(t *testing.T) {
+	cfg := config.Default(1)
+	cfg.Mem.L2 = config.CacheLevel{SizeBytes: 256, Assoc: 2, BlockSize: 128, LatencyCycles: 9}
+	const pc, data, other = 0x1000_0000, 0x9000_0000, 0xa000_0000
+	ins := []isa.Instruction{
+		{PC: pc, Op: isa.OpLoad, Dest: 1, Src1: 30, Src2: isa.NoReg, Addr: data},
+		{PC: pc + 4, Op: isa.OpLoad, Dest: 2, Src1: 30, Src2: isa.NoReg, Addr: other},
+	}
+	c := newCoreFrom(t, cfg, &scriptStream{ins: ins})
+	c.RunInstructions(uint64(len(ins)))
+	if !c.hier.L2.Access(data) {
+		t.Error("the third line evicted the data, not the fetched block: data looked up before fetch")
 	}
 }
