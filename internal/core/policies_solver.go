@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"gpm/internal/modes"
@@ -85,7 +84,7 @@ func (p SolverPolicy) Name() string {
 	if p.Label != "" {
 		return p.Label
 	}
-	return fmt.Sprintf("MaxBIPS[%s]", p.Solver.Name())
+	return "MaxBIPS[" + p.Solver.Name() + "]"
 }
 
 // Decide implements Policy.

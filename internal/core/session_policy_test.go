@@ -184,3 +184,29 @@ func TestManagerAdoptsEmbeddedSession(t *testing.T) {
 	}
 	mgr.Close()
 }
+
+// nameSink keeps TestSolverPolicyName's calls from being optimized away.
+var nameSink string
+
+// TestSolverPolicyName pins the displayed name of bare, labelled and
+// deadline-wrapped solver policies, and its cost: cmpsim asks for it once
+// per run, so it builds the string with at most one allocation.
+func TestSolverPolicyName(t *testing.T) {
+	cases := []struct {
+		p    *SolverPolicy
+		want string
+	}{
+		{NewSolverPolicy(&solver.BB{}), "MaxBIPS[bb]"},
+		{NewSolverPolicy(&solver.Hier{}), "MaxBIPS[hier]"},
+		{&SolverPolicy{Solver: solver.Greedy{}, Label: "maxbips-greedy"}, "maxbips-greedy"},
+		{NewSolverPolicy(solver.WithDeadline(&solver.BB{}, 0, 10_000)), "MaxBIPS[bb]"},
+	}
+	for _, c := range cases {
+		if got := c.p.Name(); got != c.want {
+			t.Errorf("Name() = %q, want %q", got, c.want)
+		}
+		if a := testing.AllocsPerRun(100, func() { nameSink = c.p.Name() }); a > 1 {
+			t.Errorf("%s: %v allocations per Name call, want at most 1", c.want, a)
+		}
+	}
+}

@@ -152,7 +152,7 @@ type guard struct {
 	deadline    time.Duration
 	reqC        chan core.Decision
 	resC        chan decided
-	timer       *time.Timer
+	clock       clock
 	workCurrent modes.Vector // worker-owned copies; written only while idle
 	workSamples []core.Sample
 	busy        bool // an abandoned decision is still running
@@ -197,10 +197,7 @@ func newGuard(mgr *core.Manager, pred core.Predictor, plan modes.Plan, n int, ha
 		g.resC = make(chan decided, 1)
 		g.workCurrent = make(modes.Vector, n)
 		g.workSamples = make([]core.Sample, n)
-		g.timer = time.NewTimer(time.Hour)
-		if !g.timer.Stop() {
-			<-g.timer.C
-		}
+		g.clock = newWallClock()
 		go g.worker()
 	}
 	return g
@@ -327,19 +324,14 @@ func (g *guard) tryPolicy(d core.Decision, rep *core.Report) (v modes.Vector, ok
 	copy(g.workSamples, d.Samples)
 	d.Samples = g.workSamples
 	d.Lookahead = nil
+	tick := g.clock.arm(g.deadline)
 	g.reqC <- d
-	g.timer.Reset(g.deadline)
 	select {
 	case r := <-g.resC:
-		if !g.timer.Stop() {
-			select {
-			case <-g.timer.C:
-			default:
-			}
-		}
+		g.clock.disarm()
 		rep.Candidate = r.candidate
 		return r.v, true
-	case <-g.timer.C:
+	case <-tick:
 		g.busy = true
 		rep.TimedOut = true
 		return nil, false
@@ -353,13 +345,54 @@ func (g *guard) worker() {
 	for d := range g.reqC {
 		if g.inj != nil {
 			if hang := g.inj.DecisionHang(d.Now); hang > 0 {
-				time.Sleep(hang)
+				g.clock.sleep(hang)
 			}
 		}
 		v, rep := g.mgr.Decide(d)
 		g.resC <- decided{v, rep.Candidate}
 	}
 }
+
+// clock is the watchdog's time source: the deadline armed per decision and
+// the injected hang the worker sleeps. Outside tests it is the wall clock;
+// the stall acceptance test substitutes one whose time moves only by the
+// injected hang, so whether a decision times out follows from the fault
+// scenario and not from how a busy host schedules the worker.
+type clock interface {
+	// arm starts the deadline; the channel receives once d has passed.
+	arm(d time.Duration) <-chan time.Time
+	// disarm stops the armed deadline, dropping its tick if it fired.
+	disarm()
+	// sleep hangs the calling worker for d.
+	sleep(d time.Duration)
+}
+
+// wallClock is the wall clock, with one timer reused across decisions.
+type wallClock struct{ t *time.Timer }
+
+func newWallClock() *wallClock {
+	t := time.NewTimer(time.Hour)
+	if !t.Stop() {
+		<-t.C
+	}
+	return &wallClock{t}
+}
+
+func (w *wallClock) arm(d time.Duration) <-chan time.Time {
+	w.t.Reset(d)
+	return w.t.C
+}
+
+func (w *wallClock) disarm() {
+	if !w.t.Stop() {
+		select {
+		case <-w.t.C:
+		default:
+		}
+	}
+}
+
+func (*wallClock) sleep(d time.Duration) { time.Sleep(d) }
 
 // sanitize repairs the per-core observations into out (grown when shorter
 // than samples) and advances the dead-core detector. It never mutates its

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,12 +107,66 @@ type pacerStage struct{ d time.Duration }
 func (p pacerStage) Name() string         { return "pacer" }
 func (p pacerStage) Apply(st *Step) error { time.Sleep(p.d); return nil }
 
+// hangClock is a watchdog clock whose time moves only by the injected hang.
+// The worker's sleep advances it, fires the armed deadline when the hang
+// outlasts it, waits until the guard has taken that tick, and returns: a
+// hang shorter than the deadline, or none, never times a decision out, and
+// one longer always does, however the host schedules the two goroutines.
+type hangClock struct {
+	mu    sync.Mutex
+	now   time.Duration
+	due   time.Duration // the armed deadline, while armed
+	armed bool
+	tick  chan time.Time // buffered like a timer's channel
+}
+
+func newHangClock() *hangClock { return &hangClock{tick: make(chan time.Time, 1)} }
+
+func (k *hangClock) arm(d time.Duration) <-chan time.Time {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.due, k.armed = k.now+d, true
+	return k.tick
+}
+
+func (k *hangClock) disarm() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.armed = false
+	select {
+	case <-k.tick:
+	default:
+	}
+}
+
+func (k *hangClock) sleep(d time.Duration) {
+	k.mu.Lock()
+	k.now += d
+	fired := k.armed && k.now >= k.due
+	if fired {
+		k.armed = false
+		k.tick <- time.Time{}
+	}
+	k.mu.Unlock()
+	// The guard is between arming and its select, or in it: wait until it
+	// has taken the tick, so the worker's answer cannot race it. A guard
+	// that never takes it gets the answer after a second instead, and the
+	// test fails on the missing timeout rather than hanging.
+	for give := time.Now().Add(time.Second); fired && len(k.tick) > 0 && time.Now().Before(give); {
+		runtime.Gosched()
+	}
+}
+
 // TestSupervisorStallAcceptance64 is the headline acceptance scenario: a
 // 64-core maxbips-bb run with a 100 µs decision deadline and an injected
 // solver stall (each in-window decision hangs 400 µs, 4× the deadline). The
 // run must never miss an actuation interval — the watchdog abandons the
 // wedged solve and the ladder answers from a lower rung — and must be back
-// on rung 0 well before the end of the run once the fault clears.
+// on rung 0 well before the end of the run once the fault clears. The
+// watchdog runs on hangClock, so the outcome follows from the stall alone:
+// on the wall clock a busy host could delay a healthy decision past the
+// deadline. The wall-clock watchdog abandoning a real hang is exercised by
+// TestDeciderContract and TestEngineDegradedInvalidatesSession.
 func TestSupervisorStallAcceptance64(t *testing.T) {
 	const (
 		n        = 64
@@ -143,10 +199,12 @@ func TestSupervisorStallAcceptance64(t *testing.T) {
 	pol := core.SolverPolicy{Solver: solver.WithDeadline(bb, deadline/2, 0), Label: "maxbips-bb"}
 	obs := &supObserver{}
 	budget := func(time.Duration) float64 { return 0.70 * 21 * n }
+	dec := NewDecider(plan, pol, pred, n, nil, &SupervisorConfig{Deadline: deadline}, inj)
+	dec.(*guard).clock = newHangClock()
 	opt := Options{
 		Plan:             plan,
 		Budget:           budget,
-		Decider:          NewDecider(plan, pol, pred, n, nil, &SupervisorConfig{Deadline: deadline}, inj),
+		Decider:          dec,
 		DeltaSim:         explore / 10,
 		DeltasPerExplore: 10,
 		Horizon:          horizon,

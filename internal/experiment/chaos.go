@@ -12,6 +12,7 @@ import (
 	"gpm/internal/fault"
 	"gpm/internal/fullsim"
 	"gpm/internal/obs"
+	"gpm/internal/pool"
 	"gpm/internal/workload"
 )
 
@@ -392,7 +393,7 @@ func (e *Env) ChaosSoak(combo workload.Combo, opts ChaosOptions) (*ChaosReport, 
 		opts.FullsimIntervals = 6
 	}
 	if opts.Parallel <= 0 {
-		opts.Parallel = e.workers()
+		opts.Parallel = pool.Workers(e.Workers)
 	}
 	base, err := e.Baseline(combo)
 	if err != nil {
@@ -429,7 +430,7 @@ func (e *Env) ChaosSoak(combo workload.Combo, opts ChaosOptions) (*ChaosReport, 
 		return &engine.SupervisorConfig{Deadline: opts.Deadline}
 	}
 	frags := make([]*ChaosReport, len(jobs))
-	err = forEach(opts.Parallel, len(jobs), func(i int) error {
+	err = pool.ForEach(opts.Parallel, len(jobs), func(i int) error {
 		j := jobs[i]
 		label := fmt.Sprintf("%s/%s/budget=%.2f/seed=%d", j.substrate, j.pol.Name(), j.frac, j.seed)
 		rng := rand.New(rand.NewSource(j.seed))

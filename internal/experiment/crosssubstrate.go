@@ -12,6 +12,7 @@ import (
 	"gpm/internal/metrics"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
+	"gpm/internal/pool"
 	"gpm/internal/workload"
 )
 
@@ -107,7 +108,7 @@ func (e *Env) CrossSubstrate(combo workload.Combo, budgetFrac float64, intervals
 	}
 	budgetW := budgetFrac * traceBase.EnvelopePowerW()
 
-	chip, err := mkChip(e.workers())
+	chip, err := mkChip(pool.Workers(e.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func (e *Env) CrossSubstrate(combo workload.Combo, budgetFrac float64, intervals
 	// on the shared pool; the chips split the worker budget so the sweep's
 	// total goroutine count stays bounded by e.Workers.
 	rows := make([]CrossSubstrateRow, len(policies))
-	err = forEach(e.workers(), len(policies), func(i int) error {
+	err = pool.ForEach(pool.Workers(e.Workers), len(policies), func(i int) error {
 		pol := policies[i]
 		tr, err := runTrace(pol, cmpsim.FixedBudget(budgetW))
 		if err != nil {
@@ -202,7 +203,7 @@ func (e *Env) CrossSubstrateTraced(combo workload.Combo, pol core.Policy, budget
 	}
 
 	chip, err := fullsim.NewWithOptions(e.Cfg, e.Model, e.Plan, combo.Benchmarks, 0, nil,
-		fullsim.Options{Workers: e.workers()})
+		fullsim.Options{Workers: pool.Workers(e.Workers)})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,6 +16,7 @@ import (
 	"gpm/internal/metrics"
 	"gpm/internal/modes"
 	"gpm/internal/obs"
+	"gpm/internal/pool"
 	"gpm/internal/power"
 	"gpm/internal/trace"
 	"gpm/internal/workload"
@@ -198,7 +199,7 @@ func (e *Env) Curves(combo workload.Combo, policies []core.Policy) ([]*PolicyCur
 	}
 	nb := len(e.Budgets)
 	runs := make([]*cmpsim.Result, len(policies)*nb)
-	err = forEach(e.workers(), len(runs), func(i int) error {
+	err = pool.ForEach(pool.Workers(e.Workers), len(runs), func(i int) error {
 		pol, frac := policies[i/nb], e.Budgets[i%nb]
 		res, runErr := e.Run(combo, pol, cmpsim.FixedBudget(frac*base.EnvelopePowerW()))
 		if runErr != nil {
@@ -248,6 +249,13 @@ func (e *Env) ShortHorizon(h time.Duration) *Env {
 	// can be shared.
 	out.Lib = e.Lib
 	return out
+}
+
+// chipWorkers divides the env's workers among `concurrent` simultaneous
+// cycle-level chips, so a sweep that fans out whole runs does not multiply
+// its goroutine budget by the per-chip worker count.
+func (e *Env) chipWorkers(concurrent int) int {
+	return max(1, pool.Workers(e.Workers)/max(1, concurrent))
 }
 
 // comboForWidth fetches the Table 2 combos for a width with context in the

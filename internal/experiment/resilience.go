@@ -7,6 +7,7 @@ import (
 	"gpm/internal/core"
 	"gpm/internal/fault"
 	"gpm/internal/metrics"
+	"gpm/internal/pool"
 	"gpm/internal/workload"
 )
 
@@ -79,7 +80,7 @@ func (e *Env) ResilienceSweep(combo workload.Combo, policies []core.Policy, rate
 		opts.Scenario = DefaultFaultProfile
 	}
 	if opts.Parallel <= 0 {
-		opts.Parallel = e.workers()
+		opts.Parallel = pool.Workers(e.Workers)
 	}
 	// Resolve the baseline up front: Env's cache is not synchronized, and
 	// every worker needs the same reference anyway.
@@ -108,7 +109,7 @@ func (e *Env) ResilienceSweep(combo workload.Combo, policies []core.Policy, rate
 	// total, not one per job); indexed writes keep the point order
 	// deterministic.
 	points := make([]ResiliencePoint, len(jobs))
-	err = forEach(opts.Parallel, len(jobs), func(i int) error {
+	err = pool.ForEach(opts.Parallel, len(jobs), func(i int) error {
 		j := jobs[i]
 		sc := opts.Scenario(j.rate, opts.Seed+int64(j.rateIdx))
 		opt := cmpsim.Options{

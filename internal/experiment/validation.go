@@ -3,6 +3,7 @@ package experiment
 import (
 	"gpm/internal/fullsim"
 	"gpm/internal/modes"
+	"gpm/internal/pool"
 	"gpm/internal/workload"
 )
 
@@ -43,7 +44,7 @@ type ValidationResult struct {
 // characterizations the CMP tool is built from.
 func (e *Env) Validation(combo workload.Combo, windowGlobalCycles, warmupInstr uint64) (*ValidationResult, error) {
 	chip, err := fullsim.NewWithOptions(e.Cfg, e.Model, e.Plan, combo.Benchmarks, 0, nil,
-		fullsim.Options{Workers: e.workers()})
+		fullsim.Options{Workers: pool.Workers(e.Workers)})
 	if err != nil {
 		return nil, err
 	}

@@ -33,6 +33,7 @@ import (
 
 	"gpm/internal/engine"
 	"gpm/internal/metrics"
+	"gpm/internal/pool"
 	"gpm/internal/trace"
 	"gpm/internal/workload"
 )
@@ -265,7 +266,10 @@ type Fleet struct {
 	deltasPW  int // deltas per window
 	windowsPE int // windows per epoch
 
-	chips    []*chip
+	chips []*chip
+	// advance steps chip i one window. New builds it once, so the window's
+	// fan-out allocates nothing when it runs serially.
+	advance  func(i int) error
 	router   *router
 	arbiter  *arbiter
 	arrivals []*request
@@ -306,6 +310,7 @@ func New(lib *trace.Library, cfg Config) (*Fleet, error) {
 		f.closeChips()
 		return nil, err
 	}
+	f.advance = func(i int) error { return f.chips[i].advance() }
 	f.router = newRouter(cfg)
 	f.arbiter = newArbiter(lib, cfg, f.chips)
 	return f, nil
@@ -347,10 +352,7 @@ func (f *Fleet) Run() (*Result, error) {
 			f.epochLog = append(f.epochLog, f.arbiter.rebalance(f, start))
 		}
 		f.route(float64(w)*f.windowSec, float64(w+1)*f.windowSec)
-		err := forEach(f.workers(), len(f.chips), func(i int) error {
-			return f.chips[i].advance()
-		})
-		if err != nil {
+		if err := pool.ForEach(pool.Workers(f.cfg.Workers), len(f.chips), f.advance); err != nil {
 			return nil, err
 		}
 		for _, c := range f.chips {
@@ -358,10 +360,6 @@ func (f *Fleet) Run() (*Result, error) {
 		}
 	}
 	return f.finalize()
-}
-
-func (f *Fleet) workers() int {
-	return poolWorkers(f.cfg.Workers)
 }
 
 // CohortStats is the per-cohort serving outcome.

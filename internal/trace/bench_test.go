@@ -11,15 +11,87 @@ import (
 	"gpm/internal/workload"
 )
 
+// chunkPlayer is a frozen copy of the Player before it cached its period,
+// phase and chunk bounds: it caches only its chunk's jitter factors, and
+// every step divides for the period, rescans the phases and divides for
+// the chunk. It is BenchmarkPlayerDelta's second reference, the one
+// `make bench-check` gates the Player against: refPlayer re-hashes the
+// jitter every step, so a Player that lost half its gain over this one
+// would still read well under refPlayer.
+type chunkPlayer struct {
+	pr     *Profile
+	pos    float64
+	end    bool
+	chunk1 uint64 // one more than the chunk rj/pj belong to (0: none)
+	rj, pj float64
+}
+
+func (p *chunkPlayer) periodPos() float64 {
+	period := p.pr.PeriodInstr
+	return p.pos - float64(uint64(p.pos/period))*period
+}
+
+func (p *chunkPlayer) chunkJitter(chunk uint64) (rate, pw float64) {
+	if p.chunk1 != chunk+1 {
+		p.rj, p.pj = p.pr.jitter(chunk)
+		p.chunk1 = chunk + 1
+	}
+	return p.rj, p.pj
+}
+
+func (p *chunkPlayer) Advance(m modes.Mode, seconds float64) (energyJ, instr float64) {
+	if !p.pr.Plan.Valid(m) {
+		panic(fmt.Sprintf("trace: invalid mode %d", m))
+	}
+	behavior := p.pr.Behavior[m]
+	total := float64(p.pr.Spec.TotalInstructions)
+	remaining := seconds
+	for remaining > 1e-15 && !p.end {
+		posInPeriod := p.periodPos()
+		ph, phaseEnd := p.pr.phaseEnd(posInPeriod)
+		b := &behavior[ph]
+		chunk := uint64(p.pos / jitterChunk)
+		rj, pj := p.chunkJitter(chunk)
+		rate := b.RatePerSec * rj
+		pw := b.PowerW * pj
+		toPhase := phaseEnd - posInPeriod
+		toChunk := (float64(chunk)+1)*jitterChunk - p.pos
+		toEnd := total - p.pos
+		dist := toPhase
+		if toChunk < dist {
+			dist = toChunk
+		}
+		if toEnd < dist {
+			dist = toEnd
+		}
+		if dist < 1 {
+			dist = 1
+		}
+		dt := dist / rate
+		if dt > remaining {
+			dt = remaining
+		}
+		energyJ += pw * dt
+		instr += rate * dt
+		p.pos += rate * dt
+		remaining -= dt
+		if p.pos >= total {
+			p.end = true
+		}
+	}
+	return energyJ, instr
+}
+
 // BenchmarkPlayerDelta times one 50 µs delta over N players, the step the
-// trace substrate takes for every core every delta, and then the frozen
-// refPlayer over the same steps. The players cycle through four profiles,
-// memory- and CPU-bound alike. Core c runs mode (c + i/10) mod 3 at
-// iteration i, so modes change every explore interval of ten deltas. Both
-// sides restart any player whose program is near its end, so every
-// iteration steps a running program whatever b.N is. The row reports each
-// side's mean as player-ns/op and ref-ns/op; `make bench-check` gates their
-// ratio at 1024 cores, where host noise lands on both sides alike.
+// trace substrate takes for every core every delta, and then two frozen
+// references over the same steps: refPlayer and chunkPlayer. The players
+// cycle through four profiles, memory- and CPU-bound alike. Core c runs
+// mode (c + i/10) mod 3 at iteration i, so modes change every explore
+// interval of ten deltas. Every side restarts any player whose program is
+// near its end, so every iteration steps a running program whatever b.N
+// is. The row reports each side's mean as player-ns/op, ref-ns/op and
+// chunk-ns/op; `make bench-check` gates player-ns/op against chunk-ns/op
+// at 1024 cores, where host noise lands on every side alike.
 func BenchmarkPlayerDelta(b *testing.B) {
 	lib := testLibrary(b)
 	var profiles []*Profile
@@ -35,12 +107,14 @@ func BenchmarkPlayerDelta(b *testing.B) {
 		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
 			players := make([]Player, n)
 			refs := make([]refPlayer, n)
+			chunks := make([]chunkPlayer, n)
 			for c := range players {
 				pr := profiles[c%len(profiles)]
 				players[c] = Player{pr: pr}
 				refs[c] = refPlayer{pr: pr}
+				chunks[c] = chunkPlayer{pr: pr}
 			}
-			var playerNS, refNS time.Duration
+			var playerNS, refNS, chunkNS time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -50,6 +124,7 @@ func BenchmarkPlayerDelta(b *testing.B) {
 					if players[c].pos > 0.9*float64(players[c].pr.Spec.TotalInstructions) {
 						players[c] = Player{pr: players[c].pr}
 						refs[c] = refPlayer{pr: refs[c].pr}
+						chunks[c] = chunkPlayer{pr: chunks[c].pr}
 					}
 				}
 				t0 := time.Now()
@@ -60,11 +135,17 @@ func BenchmarkPlayerDelta(b *testing.B) {
 				for c := range refs {
 					refs[c].Advance(modes.Mode((c+i/10)%nm), 50e-6)
 				}
+				t2 := time.Now()
+				for c := range chunks {
+					chunks[c].Advance(modes.Mode((c+i/10)%nm), 50e-6)
+				}
 				playerNS += t1.Sub(t0)
-				refNS += time.Since(t1)
+				refNS += t2.Sub(t1)
+				chunkNS += time.Since(t2)
 			}
 			b.ReportMetric(float64(playerNS)/float64(b.N), "player-ns/op")
 			b.ReportMetric(float64(refNS)/float64(b.N), "ref-ns/op")
+			b.ReportMetric(float64(chunkNS)/float64(b.N), "chunk-ns/op")
 		})
 	}
 }

@@ -127,6 +127,35 @@ func profileDigest(h hash.Hash64, pr *Profile) {
 	put(math.Float64bits(pr.PeriodInstr))
 }
 
+// sameProfile requires got to match want bit for bit: every PhaseBehavior
+// field, each Activity field included, and the phase lengths.
+func sameProfile(t *testing.T, what string, got, want *Profile) {
+	t.Helper()
+	if len(got.Behavior) != len(want.Behavior) {
+		t.Fatalf("%s: %d modes, want %d", what, len(got.Behavior), len(want.Behavior))
+	}
+	for m := range want.Behavior {
+		for ph := range want.Behavior[m] {
+			g, w := behaviorBits(got.Behavior[m][ph]), behaviorBits(want.Behavior[m][ph])
+			for k := range w {
+				if g[k] != w[k] {
+					t.Errorf("%s mode %d phase %d: field %d reads %#x, reference %#x\n got %+v\nwant %+v",
+						what, m, ph, k, g[k], w[k], got.Behavior[m][ph], want.Behavior[m][ph])
+					break
+				}
+			}
+		}
+	}
+	for i := range want.PhaseInstr {
+		if math.Float64bits(got.PhaseInstr[i]) != math.Float64bits(want.PhaseInstr[i]) {
+			t.Errorf("%s: PhaseInstr[%d] %v, reference %v", what, i, got.PhaseInstr[i], want.PhaseInstr[i])
+		}
+	}
+	if math.Float64bits(got.PeriodInstr) != math.Float64bits(want.PeriodInstr) {
+		t.Errorf("%s: PeriodInstr %v, reference %v", what, got.PeriodInstr, want.PeriodInstr)
+	}
+}
+
 // TestCharacterizeMatchesReference pins every profile bit for bit to the
 // per-(mode, phase) loop it replaced: every PhaseBehavior field, each
 // Activity field included, and the phase lengths, for all twelve
@@ -164,33 +193,59 @@ func TestCharacterizeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: reference: %v", c.name, name, err)
 			}
-			if len(got.Behavior) != c.plan.NumModes() {
-				t.Fatalf("%s/%s: %d modes, want %d", c.name, name, len(got.Behavior), c.plan.NumModes())
-			}
-			for m := range want.Behavior {
-				for ph := range want.Behavior[m] {
-					g, w := behaviorBits(got.Behavior[m][ph]), behaviorBits(want.Behavior[m][ph])
-					for k := range w {
-						if g[k] != w[k] {
-							t.Errorf("%s/%s mode %d phase %d: field %d reads %#x, reference %#x\n got %+v\nwant %+v",
-								c.name, name, m, ph, k, g[k], w[k], got.Behavior[m][ph], want.Behavior[m][ph])
-							break
-						}
-					}
-				}
-			}
-			for i := range want.PhaseInstr {
-				if math.Float64bits(got.PhaseInstr[i]) != math.Float64bits(want.PhaseInstr[i]) {
-					t.Errorf("%s/%s: PhaseInstr[%d] %v, reference %v", c.name, name, i, got.PhaseInstr[i], want.PhaseInstr[i])
-				}
-			}
-			if math.Float64bits(got.PeriodInstr) != math.Float64bits(want.PeriodInstr) {
-				t.Errorf("%s/%s: PeriodInstr %v, reference %v", c.name, name, got.PeriodInstr, want.PeriodInstr)
-			}
+			sameProfile(t, c.name+"/"+name, got, want)
 			profileDigest(h, got)
 		}
 		if d := h.Sum64(); d != c.golden {
 			t.Errorf("%s: profile digest %#x, golden %#x", c.name, d, c.golden)
+		}
+	}
+}
+
+// TestCharacterizeAcrossWorkers characterizes every benchmark, nine with
+// two phases and mcf, ammp and gcc with three, with its phases on one
+// goroutine and on three, and holds the concurrent profiles to the serial
+// ones field by field and both to the pinned digests. Phases that shared a
+// hierarchy, predictor or generator would interleave on it, move the
+// three-worker digest and race under -race; phases that wrote one Behavior
+// slot would move both digests. Both plans run at the small sample; under
+// -short only the default plan runs.
+func TestCharacterizeAcrossWorkers(t *testing.T) {
+	cfg := smallSample(config.Default(4))
+	cases := []struct {
+		name   string
+		plan   modes.Plan
+		golden uint64
+	}{
+		{"default", modes.Default(cfg.Chip.NominalVdd, cfg.Chip.TransitionRateVPerUs), goldenDefaultSmallDigest},
+		{"linear5", modes.Linear(5, 0.62, cfg.Chip.NominalVdd, cfg.Chip.TransitionRateVPerUs), goldenLinear5Digest},
+	}
+	if testing.Short() {
+		cases = cases[:1]
+	}
+	model := power.Default()
+	for _, c := range cases {
+		serial := fnv.New64a()
+		fanned := fnv.New64a()
+		for _, name := range workload.Names() {
+			spec := workload.MustLookup(name)
+			one, err := characterize(cfg, model, c.plan, spec, 1)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, name, err)
+			}
+			three, err := characterize(cfg, model, c.plan, spec, 3)
+			if err != nil {
+				t.Fatalf("%s/%s at 3 workers: %v", c.name, name, err)
+			}
+			sameProfile(t, c.name+"/"+name+" at 3 workers", three, one)
+			profileDigest(serial, one)
+			profileDigest(fanned, three)
+		}
+		if d := serial.Sum64(); d != c.golden {
+			t.Errorf("%s at 1 worker: profile digest %#x, golden %#x", c.name, d, c.golden)
+		}
+		if d := fanned.Sum64(); d != c.golden {
+			t.Errorf("%s at 3 workers: profile digest %#x, golden %#x", c.name, d, c.golden)
 		}
 	}
 }

@@ -16,12 +16,14 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"gpm/internal/bpred"
 	"gpm/internal/cache"
 	"gpm/internal/config"
 	"gpm/internal/modes"
+	"gpm/internal/pool"
 	"gpm/internal/power"
 	"gpm/internal/uarch"
 	"gpm/internal/workload"
@@ -71,8 +73,17 @@ type Profile struct {
 // characterization step of §3.1. Each phase runs once, over a fresh
 // generator, private caches and predictor, with one timing lane per mode in
 // lockstep (uarch.Measure): a mode changes only timing here, never the
-// stream, a cache outcome or a prediction (DESIGN.md §10.4).
+// stream, a cache outcome or a prediction (DESIGN.md §10.4). The phases
+// share no state, so they run concurrently on up to GOMAXPROCS goroutines,
+// each writing only its own Behavior[m][ph]; the profile is the same for
+// every worker count.
 func Characterize(cfg config.Config, model power.Model, plan modes.Plan, spec workload.Spec) (*Profile, error) {
+	return characterize(cfg, model, plan, spec, runtime.GOMAXPROCS(0))
+}
+
+// characterize is Characterize with its phases on at most `workers`
+// goroutines.
+func characterize(cfg config.Config, model power.Model, plan modes.Plan, spec workload.Spec, workers int) (*Profile, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,7 +102,7 @@ func Characterize(cfg config.Config, model power.Model, plan modes.Plan, spec wo
 		scales[m] = plan.FreqScale(modes.Mode(m))
 		pr.Behavior[m] = make([]PhaseBehavior, len(spec.Phases))
 	}
-	for ph := range spec.Phases {
+	err := pool.ForEach(workers, len(spec.Phases), func(ph int) error {
 		gen := workload.NewGenerator(spec, ph, cfg.Sim.Seed)
 		l2 := cache.NewSharedL2(cfg.Mem.L2, cfg.Mem.L2Banks, cfg.Mem.L2BusCyclesPerAccess)
 		hier := cache.NewHierarchy(cfg.Mem, l2)
@@ -112,10 +123,14 @@ func Characterize(cfg config.Config, model power.Model, plan modes.Plan, spec wo
 				Activity:   act,
 			}
 			if b.RatePerSec <= 0 {
-				return nil, fmt.Errorf("trace: %s phase %d mode %d measured zero rate", spec.Name, ph, m)
+				return fmt.Errorf("trace: %s phase %d mode %d measured zero rate", spec.Name, ph, m)
 			}
 			pr.Behavior[m][ph] = b
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Phase instruction lengths from the Turbo rates: the schedule's
 	// PhasePeriodUs is defined as Turbo wall time.
